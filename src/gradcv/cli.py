@@ -77,7 +77,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, default=10.0, help="perturbation-penalty weight (default 10)")
     p.add_argument("--keypoints", type=int, default=300, help="keypoint budget (default 300)")
 
-    p = sub.add_parser("bench", help="operator wall-time benchmark over batch sizes")
+    p = sub.add_parser(
+        "bench", help="operator forward+backward wall-time benchmark over batch sizes"
+    )
     p.add_argument("--op", default="sobel", choices=["sobel", "gaussian", "warp"])
     p.add_argument("--batches", default="1,2,4,8,16", help="comma-separated batch sizes")
     p.add_argument("--size", type=int, default=256, help="square image size (default 256)")

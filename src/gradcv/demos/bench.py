@@ -1,8 +1,11 @@
 """Wall-time benchmark over batch sizes for a few representative operators.
 
-Reports the median over repeats after warmup; per-sample time is the median
-divided by the batch size.  Absolute numbers are hardware-specific; the
-useful signal is the per-sample trend as batches grow.
+Each timed repeat runs the operator forward on an input that requires a
+gradient, sums the result and runs ``backward``, so forward and backward are
+measured together.  Reports the median over repeats after warmup;
+per-sample time is the median divided by the batch size.  Absolute numbers
+are hardware-specific; the useful signal is the per-sample trend as batches
+grow.
 """
 from __future__ import annotations
 
@@ -15,7 +18,7 @@ import numpy as np
 from ..errors import ParameterError
 from ..filters import gaussian_blur2d, sobel_edges
 from ..geometry.transforms import warp_perspective
-from ..tape import Var
+from ..tape import Var, backward
 
 _WARMUP = 3
 
@@ -39,20 +42,21 @@ def _op_fn(op: str):
 
 
 def run_bench(op: str, batch_sizes, image_size: int = 256, repeats: int = 10) -> list:
-    """One BenchRow per batch size (float32 inputs, channels=3)."""
+    """One BenchRow per batch size (float32 inputs, channels=3), forward + backward."""
     if repeats < 3:
         raise ParameterError(f"repeats must be >= 3, got {repeats}")
     fn = _op_fn(op)
     rows = []
     rng = np.random.default_rng(0)
     for batch in sorted(int(b) for b in batch_sizes):
-        x = Var(rng.random((batch, 3, image_size, image_size)).astype(np.float32))
+        x = Var(rng.random((batch, 3, image_size, image_size)).astype(np.float32),
+                requires_grad=True)
         for _ in range(_WARMUP):
-            fn(x)
+            backward(fn(x).sum())
         times = []
         for _ in range(repeats):
             t0 = time.perf_counter()
-            fn(x)
+            backward(fn(x).sum())
             times.append((time.perf_counter() - t0) * 1e3)
         med = float(np.median(times))
         rows.append(BenchRow(batch=batch, median_ms=med, per_sample_ms=med / batch))

@@ -2,7 +2,8 @@
 convolution, bilinear sampling, and patch extraction.
 
 All image inputs are 4-D NCHW.  Convolution is correlation (kernels are not
-flipped), matching the usual CV convention.
+flipped), matching the usual CV convention.  It runs as one shifted
+multiply-add per kernel tap over views of the padded input, as do both vjps.
 """
 from __future__ import annotations
 
@@ -43,13 +44,14 @@ def _pad_index(n: int, lo: int, hi: int, mode: str) -> np.ndarray:
     raise ParameterError(f"unknown border mode {mode!r}; expected one of {BORDER_MODES}")
 
 
-def _fold_axis(g: np.ndarray, idx: np.ndarray, n: int, axis: int) -> np.ndarray:
-    """Adjoint of index-map padding along one axis (scatter-add)."""
-    t = np.moveaxis(g, axis, 0)
-    buf = np.zeros((n,) + t.shape[1:], dtype=g.dtype)
-    valid = idx >= 0
-    np.add.at(buf, idx[valid], t[valid])
-    return np.moveaxis(buf, 0, axis)
+def _fold_axis(g: np.ndarray, idx: np.ndarray, lo: int, n: int, axis: int) -> np.ndarray:
+    """Adjoint of index-map padding on one axis: copy interior, slice-add borders."""
+    at = (slice(None),) * axis
+    buf = g[at + (slice(lo, lo + n),)].copy()
+    for p in (*range(lo), *range(lo + n, idx.size)):
+        if idx[p] >= 0:
+            buf[at + (idx[p],)] += g[at + (p,)]
+    return buf
 
 
 def pad2d(x, padding: Sequence[int], mode: str = "zero") -> Var:
@@ -71,45 +73,21 @@ def pad2d(x, padding: Sequence[int], mode: str = "zero") -> Var:
         if not mask.all():
             arr = arr * mask
     def vjp(g):
-        g = _fold_axis(g, iy, h, 2)
-        g = _fold_axis(g, ix, w, 3)
+        g = _fold_axis(g, iy, pt, h, 2)
+        g = _fold_axis(g, ix, pl, w, 3)
         return (g,)
 
     return _record(arr, (x,), vjp)
 
 
-def _conv_valid(xp: Var, kernel: Var) -> Var:
-    """Valid-mode depthwise correlation of padded input with the kernel."""
-    k = kernel.data
-    per_channel = k.ndim == 3
-    kh, kw = k.shape[-2:]
-    xarr = xp.data
-    win = sliding_window_view(xarr, (kh, kw), axis=(2, 3))  # (N,C,H,W,kh,kw)
-    if per_channel:
-        out = np.einsum("nchwij,cij->nchw", win, k, optimize=True)
-    else:
-        out = np.einsum("nchwij,ij->nchw", win, k, optimize=True)
-    need_x = xp.requires_grad or xp._tape is not None
-    need_k = kernel.requires_grad or kernel._tape is not None
-
-    def vjp(g):
-        gx = gk = None
-        if need_x:
-            kf = k[..., ::-1, ::-1]
-            gp = np.pad(g, ((0, 0), (0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
-            gwin = sliding_window_view(gp, (kh, kw), axis=(2, 3))
-            if per_channel:
-                gx = np.einsum("nchwij,cij->nchw", gwin, kf, optimize=True)
-            else:
-                gx = np.einsum("nchwij,ij->nchw", gwin, kf, optimize=True)
-        if need_k:
-            if per_channel:
-                gk = np.einsum("nchwij,nchw->cij", win, g, optimize=True)
-            else:
-                gk = np.einsum("nchwij,nchw->ij", win, g, optimize=True)
-        return (gx, gk)
-
-    return _record(out, (xp, kernel), vjp)
+def _correlate(xp: np.ndarray, k: np.ndarray, h: int, w: int) -> np.ndarray:
+    """Valid (h,w) correlation of xp (N,C,H,W): one multiply-add per tap of k (C|1,kH,kW)."""
+    kw = k.shape[2]
+    out = xp[:, :, :h, :w] * k[:, 0, 0, None, None]
+    for t in range(1, k.shape[1] * kw):
+        i, j = divmod(t, kw)
+        out += xp[:, :, i : i + h, j : j + w] * k[:, i, j, None, None]
+    return out
 
 
 def conv2d(x, kernel, border: str = "reflect") -> Var:
@@ -131,7 +109,31 @@ def conv2d(x, kernel, border: str = "reflect") -> Var:
             f"per-channel kernel has {kernel.shape[0]} channels, input has {x.shape[1]}"
         )
     xp = pad2d(x, (kh // 2, kh // 2, kw // 2, kw // 2), mode=border)
-    return _conv_valid(xp, kernel)
+    need_x = xp.requires_grad or xp._tape is not None
+    need_k = kernel.requires_grad or kernel._tape is not None
+    k = kernel.data
+    if not need_k and np.issubdtype(x.dtype, np.floating):
+        k = k.astype(x.dtype, copy=False)  # a constant kernel keeps float32 float32
+    xarr = xp.data
+    _, _, h, w = x.shape
+    k3 = k if k.ndim == 3 else k[None]  # a shared kernel broadcasts as (1,kH,kW)
+    out = _correlate(xarr, k3, h, w)
+
+    def vjp(g):
+        gx = gk = None
+        if need_x:
+            # correlate the zero-padded gradient with the flipped kernel
+            gp = np.zeros(g.shape[:2] + (h + 2 * kh - 2, w + 2 * kw - 2), dtype=g.dtype)
+            gp[:, :, kh - 1 : kh - 1 + h, kw - 1 : kw - 1 + w] = g
+            gx = _correlate(gp, k3[:, ::-1, ::-1], *xarr.shape[2:])
+        if need_k:
+            gk = np.empty(k.shape, dtype=out.dtype)
+            axes = (0, 2, 3) if k.ndim == 3 else None
+            for i, j in np.ndindex(kh, kw):
+                gk[..., i, j] = np.sum(xarr[:, :, i : i + h, j : j + w] * g, axis=axes)
+        return (gx, gk)
+
+    return _record(out, (xp, kernel), vjp)
 
 
 def _snap(p: np.ndarray) -> np.ndarray:
@@ -190,15 +192,12 @@ def sample_bilinear(x, px, py) -> Var:
         gp = g.reshape(n, c, -1)  # (N,C,P)
         gx_img = None
         if need_x:
-            size = n * h * w
-            offs = (np.arange(n) * (h * w))[:, None]
-            idx_all = np.concatenate([(idx + offs).ravel() for _, _, _, idx in corners])
-            wgt_all = np.concatenate([wgt.ravel() for _, wgt, _, _ in corners])
-            gx_img = np.empty((c, size), dtype=g.dtype)
-            for ch in range(c):
-                gch = np.tile(gp[:, ch].ravel(), 4)
-                gx_img[ch] = np.bincount(idx_all, weights=wgt_all * gch, minlength=size)
-            gx_img = gx_img.reshape(c, n, h, w).transpose(1, 0, 2, 3)
+            # one bin per (n, c, pixel); each bin sums its corners in order
+            offs = (np.arange(n * c) * (h * w)).reshape(n, c, 1)
+            idx_all = np.concatenate([(idx[:, None] + offs).ravel() for _, _, _, idx in corners])
+            g_all = np.concatenate([(gp * wgt[:, None, :]).ravel() for _, wgt, _, _ in corners])
+            gx_img = np.bincount(idx_all, weights=g_all, minlength=n * c * h * w)
+            gx_img = gx_img.reshape(n, c, h, w).astype(g.dtype, copy=False)
         gpx = gpy = None
         if need_g:
             vm = []

@@ -12,7 +12,7 @@ import numpy as np
 from .errors import ParameterError, ShapeError
 from .filters import gaussian_blur2d, sobel_edges
 from .kernels import _require_4d
-from .tape import Var, abs_, as_var, exp, log, maximum, mean, pow_, sum_, where
+from .tape import Var, abs_, as_var, concat, exp, log, maximum, mean, pow_, sum_, where
 from .tensor import as_array
 
 _EPS = 1e-6
@@ -39,12 +39,14 @@ def ssim(x, y, window: int = 11, max_val: float = 1.0) -> Var:
         raise ParameterError(f"window must be odd and positive, got {window}")
     c1 = (0.01 * max_val) ** 2
     c2 = (0.03 * max_val) ** 2
-    blur = lambda t: gaussian_blur2d(t, (window, window), (1.5, 1.5))
-    mu_x = blur(x)
-    mu_y = blur(y)
-    var_x = blur(x * x) - mu_x * mu_x
-    var_y = blur(y * y) - mu_y * mu_y
-    cov = blur(x * y) - mu_x * mu_y
+    # the five windowed statistics share one blur, stacked along channels
+    c = x.shape[1]
+    stacked = concat([x, y, x * x, y * y, x * y], axis=1)
+    stats = gaussian_blur2d(stacked, (window, window), (1.5, 1.5))
+    mu_x, mu_y, e_xx, e_yy, e_xy = (stats[:, i * c : (i + 1) * c] for i in range(5))
+    var_x = e_xx - mu_x * mu_x
+    var_y = e_yy - mu_y * mu_y
+    cov = e_xy - mu_x * mu_y
     num = (2.0 * mu_x * mu_y + c1) * (2.0 * cov + c2)
     den = (mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2)
     return num / den

@@ -3,6 +3,8 @@ import numpy as np
 import pytest
 
 import gradcv as g
+from gradcv.filters import gaussian_blur2d, sobel_edges
+from gradcv.losses import ssim_loss
 from gradcv.testing import gradcheck
 
 
@@ -88,6 +90,33 @@ def test_conv2d_gradcheck(border, seed):
     x = rng.normal(size=(2, 2, 5, 6))
     k = rng.normal(size=(3, 3))
     gradcheck(lambda a, b: (g.conv2d(a, b, border=border) ** 2.0).sum(), [x, k])
+
+
+@pytest.mark.parametrize("border", ["zero", "replicate", "reflect"])
+@pytest.mark.parametrize("kshape", [(3, 3, 3), (3, 1, 5), (1, 5), (5, 1)])
+def test_conv2d_kernel_shapes_gradcheck(kshape, border):
+    # per-channel kernels and 1xk / kx1 taps, on a batch with N>1 and C>1
+    rng = np.random.default_rng(20)
+    x = rng.normal(size=(2, 3, 5, 6))
+    k = rng.normal(size=kshape)
+    gradcheck(lambda a, b: (g.conv2d(a, b, border=border) ** 2.0).sum(), [x, k])
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda t: gaussian_blur2d(t, (5, 5), (1.5, 1.5)),
+        sobel_edges,
+        lambda t: ssim_loss(t, np.full((2, 3, 9, 10), 0.5, dtype=np.float32)),
+    ],
+    ids=["gaussian_blur2d", "sobel_edges", "ssim_loss"],
+)
+def test_conv_path_keeps_float32(op):
+    x = g.Var(np.random.default_rng(12).random((2, 3, 9, 10)).astype(np.float32),
+              requires_grad=True)
+    out = op(x)
+    assert out.dtype == np.float32
+    assert g.backward(out.sum())[x].dtype == np.float32
 
 
 # --- grid sampling ----------------------------------------------------------
@@ -221,6 +250,26 @@ def test_pad_gradcheck(mode, seed):
     rng = np.random.default_rng(50 + seed)
     x = rng.normal(size=(1, 2, 4, 4))
     gradcheck(lambda a: (g.pad2d(a, (2, 1, 1, 2), mode=mode) ** 2.0).sum(), [x])
+
+
+def test_pad_replicate_wider_than_extent():
+    # every padded row above and below lands on one of the three edge rows
+    x = np.random.default_rng(13).normal(size=(2, 2, 3, 4))
+    out = g.pad2d(g.Var(x), (5, 5, 0, 0), mode="replicate")
+    assert np.array_equal(out.data, np.pad(x, ((0, 0), (0, 0), (5, 5), (0, 0)), mode="edge"))
+    gradcheck(lambda a: (g.pad2d(a, (5, 5, 0, 0), mode="replicate") ** 2.0).sum(), [x])
+
+
+@pytest.mark.parametrize("mode", ["zero", "replicate", "reflect"])
+def test_pad_adjoint_dot_product(mode):
+    # <pad(x), y> == <x, pad^T(y)>, with pad^T read off the backward pass
+    rng = np.random.default_rng(14)
+    x = g.Var(rng.normal(size=(2, 3, 4, 5)), requires_grad=True)
+    padded = g.pad2d(x, (2, 3, 4, 1), mode=mode)
+    y = rng.normal(size=padded.shape)
+    lhs = float(np.vdot(padded.data, y))
+    rhs = float(np.vdot(x.data, g.backward((padded * y).sum())[x].data))
+    assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 def test_reflect_pad_too_large():
