@@ -15,11 +15,10 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import EstimationError, NoConsensusError, ParameterError, ShapeError
 from .filters import gaussian_blur2d, pyramid_down, spatial_gradient
-from .geometry.transforms import get_perspective_transform
+from .geometry.transforms import _dlt_system, _has_collinear_triple
 from .kernels import sample_bilinear
 from .tape import Var, _record, as_var, concat, matmul, sqrt, where
 from .tensor import as_array
@@ -115,11 +114,29 @@ def _quad_offset(fm: np.ndarray, f0: np.ndarray, fp: np.ndarray) -> np.ndarray:
     return np.clip(off, -0.5, 0.5)
 
 
+def _window_extreme(r: np.ndarray, rad: int, op, fill: float) -> np.ndarray:
+    """Separable (2*rad+1)^2 window max or min (op = np.maximum | np.minimum)
+    of a 2-D map, with `fill` beyond the border."""
+    for axis in (0, 1):
+        n = r.shape[axis]
+        p = np.pad(r, [(rad, rad) if ax == axis else (0, 0) for ax in (0, 1)], constant_values=fill)
+        shifted = lambda d: p[d : d + n] if axis == 0 else p[:, d : d + n]
+        r = shifted(0).copy()
+        for d in range(1, 2 * rad + 1):
+            op(r, shifted(d), out=r)
+    return r
+
+
 def nms2d(response, window: int = 5, threshold: float = 0.0) -> list:
     """Hard NMS: strict window maxima above `threshold` as Keypoints.
 
-    Ties inside a window go to the first pixel in scan order.  Positions are
-    refined by a 1-D quadratic fit per axis, clamped to +-0.5 px.
+    A candidate is a pixel above `threshold` that equals its window maximum
+    in a window that is not flat.  Ties inside a window go to the first
+    pixel in scan order: a candidate is dropped when any of the window^2 // 2
+    window positions before it in scan order holds its value.  Positions
+    are refined by a 1-D quadratic fit per axis, clamped to +-0.5 px (no
+    refinement along an axis at the map border).  Keypoints come in scan
+    order.
     """
     if window < 1 or window % 2 == 0:
         raise ParameterError(f"window must be odd and positive, got {window}")
@@ -132,25 +149,28 @@ def nms2d(response, window: int = 5, threshold: float = 0.0) -> list:
         raise ShapeError(f"response must be 2-D, got shape {r.shape}")
     h, w = r.shape
     rad = window // 2
-    padded = np.pad(r, rad, mode="constant", constant_values=-np.inf)
-    wmax = sliding_window_view(padded, (window, window)).max(axis=(2, 3))
+    wmax = _window_extreme(r, rad, np.maximum, -np.inf)
     # a perfectly flat window (constant regions) is not a maximum at all
-    wmin = sliding_window_view(np.pad(r, rad, mode="constant", constant_values=np.inf), (window, window)).min(axis=(2, 3))
-    cand = np.argwhere((r >= wmax) & (r > threshold) & (wmin < r))
-    kps = []
-    for y, x in cand:
-        v = r[y, x]
-        win = padded[y : y + window, x : x + window]
-        # scan-order tie-break: drop if an equal value precedes this pixel
-        ties = np.argwhere(win == v)
-        gy, gx = ties[:, 0] + y - rad, ties[:, 1] + x - rad
-        order = gy * w + gx
-        if order.min() < y * w + x:
-            continue
-        dx = _quad_offset(r[y, x - 1], v, r[y, x + 1]) if 0 < x < w - 1 else 0.0
-        dy = _quad_offset(r[y - 1, x], v, r[y + 1, x]) if 0 < y < h - 1 else 0.0
-        kps.append(Keypoint(x=float(x + dx), y=float(y + dy), response=float(v)))
-    return kps
+    wmin = _window_extreme(r, rad, np.minimum, np.inf)
+    ys, xs = np.nonzero((r >= wmax) & (r > threshold) & (wmin < r))
+    v = r[ys, xs]
+    # scan-order tie-break: drop if an equal value precedes this pixel
+    padded = np.pad(r, rad, mode="constant", constant_values=-np.inf)
+    keep = np.ones(len(v), dtype=bool)
+    for dy in range(-rad, 1):
+        for dx in range(-rad, rad + 1 if dy < 0 else 0):
+            keep &= padded[ys + rad + dy, xs + rad + dx] != v
+    ys, xs, v = ys[keep], xs[keep], v[keep]
+    off_x = np.zeros(len(v))
+    off_y = np.zeros(len(v))
+    inner = (xs > 0) & (xs < w - 1)
+    off_x[inner] = _quad_offset(r[ys[inner], xs[inner] - 1], v[inner], r[ys[inner], xs[inner] + 1])
+    inner = (ys > 0) & (ys < h - 1)
+    off_y[inner] = _quad_offset(r[ys[inner] - 1, xs[inner]], v[inner], r[ys[inner] + 1, xs[inner]])
+    return [
+        Keypoint(x=x, y=y, response=resp)
+        for x, y, resp in zip((xs + off_x).tolist(), (ys + off_y).tolist(), v.tolist())
+    ]
 
 
 def refine_positions(response: Var, ys: np.ndarray, xs: np.ndarray, clamp: bool = True):
@@ -383,19 +403,56 @@ def _apply_h(h: np.ndarray, pts: np.ndarray) -> np.ndarray:
 
 def _dlt_least_squares(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """Overdetermined DLT with h22 = 1 via normal equations."""
-    n = len(src)
-    a = np.zeros((2 * n, 8))
-    b = np.zeros(2 * n)
-    x, y = src[:, 0], src[:, 1]
-    u, v = dst[:, 0], dst[:, 1]
-    a[0::2, 0], a[0::2, 1], a[0::2, 2] = x, y, 1.0
-    a[0::2, 6], a[0::2, 7] = -x * u, -y * u
-    a[1::2, 3], a[1::2, 4], a[1::2, 5] = x, y, 1.0
-    a[1::2, 6], a[1::2, 7] = -x * v, -y * v
-    b[0::2] = u
-    b[1::2] = v
+    a, b = _dlt_system(src, dst)
     h = np.linalg.solve(a.T @ a, a.T @ b)
     return np.append(h, 1.0).reshape(3, 3)
+
+
+_SAMPLE = 4  # minimal sample of a homography
+_SCORE_CHUNK = 256  # hypotheses scored per (chunk, N) residual block
+
+
+def _draw_samples(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
+    """(count, 4) rows of distinct indices in [0, n).
+
+    Column k draws a rank in [0, n - k) among the indices its row has not
+    used yet; the rank becomes an index by stepping past the used ones in
+    ascending order.
+    """
+    idx = rng.integers(0, n - np.arange(_SAMPLE), size=(count, _SAMPLE))
+    for k in range(1, _SAMPLE):
+        for used in np.sort(idx[:, :k], axis=1).T:
+            idx[:, k] += idx[:, k] >= used
+    return idx
+
+
+def _solve_minimal(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """(B,3,3) homographies of B 4-point samples, NaN where the 8x8 DLT
+    system is singular or its solution is not finite."""
+    a, b = _dlt_system(src, dst)
+    try:
+        h = np.linalg.solve(a, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        # rare exact singularity: solve one by one so the rest survive
+        h = np.full(b.shape, np.nan)
+        for i in range(len(a)):
+            try:
+                h[i] = np.linalg.solve(a[i], b[i])
+            except np.linalg.LinAlgError:
+                pass
+    h[~np.isfinite(h).all(axis=1)] = np.nan
+    return np.concatenate([h, np.ones((len(h), 1))], axis=1).reshape(-1, 3, 3)
+
+
+def _inlier_masks(hs: np.ndarray, a: np.ndarray, b: np.ndarray, threshold: float) -> np.ndarray:
+    """Inlier masks (B, N) of the hypotheses hs (B,3,3): reprojection error
+    |H a - b| < threshold.  A NaN hypothesis has no inliers."""
+    x, y = a[:, 0], a[:, 1]
+    row = lambda i: hs[:, i, 0, None] * x + hs[:, i, 1, None] * y + hs[:, i, 2, None]
+    w = row(2)
+    dx = row(0) / w - b[:, 0]
+    dy = row(1) / w - b[:, 1]
+    return np.sqrt(dx * dx + dy * dy) < threshold
 
 
 def ransac_homography(
@@ -407,33 +464,37 @@ def ransac_homography(
 ):
     """RANSAC 4-point homography: pts_b ~ H @ pts_a.
 
-    Best-inlier-count model (ties keep the earliest iteration), refit on the
-    inliers by least squares; deterministic for a fixed seed.  Raises
-    EstimationError with < 4 pairs and NoConsensusError when no model
-    reaches 4 inliers.
+    All `max_iters` minimal samples (4 distinct indices each) are drawn up
+    front from a Philox generator keyed by `seed`.  Samples with three
+    collinear points on either side are skipped, the rest are solved as one
+    batch of 8x8 DLT systems (a singular system is skipped too) and scored
+    in blocks.  The model with the most inliers wins; ties keep the
+    earliest sample.  It is refit on its inliers by least squares, and the
+    refit is kept when it still has >= 4 inliers.  Results are
+    deterministic per seed (not the sample stream of the former
+    one-sample-per-iteration loop).  Raises EstimationError with < 4 pairs
+    and NoConsensusError when no model reaches 4 inliers.
     """
     a = np.atleast_2d(as_array(pts_a, np.float64))
     b = np.atleast_2d(as_array(pts_b, np.float64))
     if a.shape != b.shape or a.ndim != 2 or a.shape[1] != 2:
         raise ShapeError(f"point sets must both be (N,2), got {a.shape}/{b.shape}")
     n = len(a)
-    if n < 4:
+    if n < _SAMPLE:
         raise EstimationError(f"RANSAC needs >= 4 correspondences, got {n}")
     rng = np.random.Generator(np.random.Philox(key=seed))
-    best_count = 0
-    best_mask = None
-    best_h = None
-    for _ in range(max_iters):
-        idx = rng.choice(n, size=4, replace=False)
-        try:
-            h = get_perspective_transform(a[idx], b[idx])
-        except EstimationError:
-            continue
-        res = np.linalg.norm(_apply_h(h, a) - b, axis=1)
-        mask = res < threshold
-        count = int(mask.sum())
-        if count > best_count:
-            best_count, best_mask, best_h = count, mask, h
+    idx = _draw_samples(rng, n, max(max_iters, 0))
+    idx = idx[~(_has_collinear_triple(a[idx]) | _has_collinear_triple(b[idx]))]
+    best_count, best_mask, best_h = 0, None, None
+    for start in range(0, len(idx), _SCORE_CHUNK):
+        chunk = idx[start : start + _SCORE_CHUNK]
+        hs = _solve_minimal(a[chunk], b[chunk])
+        with np.errstate(invalid="ignore", divide="ignore"):
+            masks = _inlier_masks(hs, a, b, threshold)
+        counts = masks.sum(axis=1)
+        i = int(counts.argmax())  # first of the largest counts
+        if counts[i] > best_count:
+            best_count, best_mask, best_h = int(counts[i]), masks[i], hs[i]
     if best_count < 4:
         raise NoConsensusError(f"no homography with >= 4 inliers in {max_iters} iterations")
     try:
@@ -501,15 +562,20 @@ def detect(
     levels: int = 3,
     threshold: float = 1e-6,
     nms_window: int = 5,
+    pyramid=None,
 ) -> list:
     """Hessian blob keypoints over a pyramid, strongest first.
 
     Keypoints too close to a level border for a 32px patch are dropped;
     coordinates are reported at full resolution with scale 1.6 * 2^level.
+    A prebuilt `pyramid` of `img` (from :func:`hessian_pyramid`) is used
+    as given, in place of building one with `levels` levels.
     """
+    if pyramid is None:
+        pyramid = hessian_pyramid(img, levels)
     margin = PATCH_SIZE // 2 + 1
     kps = []
-    for lvl, level in enumerate(hessian_pyramid(img, levels)):
+    for lvl, level in enumerate(pyramid):
         h, w = level.response.shape[2:]
         for kp in nms2d(level.response.data, window=nms_window, threshold=threshold):
             if not (margin <= kp.x <= w - 1 - margin and margin <= kp.y <= h - 1 - margin):
@@ -533,11 +599,15 @@ def describe(img, keypoints, pyramid=None) -> Var:
     Patches are sampled on the keypoint's pyramid level at 1px spacing, so
     descriptor support scales with detection scale.  Differentiable w.r.t.
     the image; assigns each keypoint's dominant orientation in place.
+    Raises ParameterError when a keypoint's level is not in the pyramid.
     """
-    if pyramid is None:
-        pyramid = hessian_pyramid(img, levels=max((k.level for k in keypoints), default=0) + 1)
     if not keypoints:
         raise ParameterError("describe needs at least one keypoint")
+    if pyramid is None:
+        pyramid = hessian_pyramid(img, levels=max(k.level for k in keypoints) + 1)
+    missing = sorted({k.level for k in keypoints} - set(range(len(pyramid))))
+    if missing:
+        raise ParameterError(f"keypoint levels {missing} are not in the {len(pyramid)}-level pyramid")
     parts = []
     order = []
     for lvl, level in enumerate(pyramid):
@@ -566,7 +636,7 @@ def detect_and_describe(
     """Full pipeline: (keypoints sorted by response, descriptors (M,128))."""
     img = as_var(img)
     pyramid = hessian_pyramid(img, levels)
-    kps = detect(img, max_keypoints=max_keypoints, levels=levels, threshold=threshold)
+    kps = detect(img, max_keypoints=max_keypoints, threshold=threshold, pyramid=pyramid)
     if not kps:
         return [], np.zeros((0, 128))  # plain array: empty tensors are not a thing
     return kps, describe(img, kps, pyramid=pyramid)

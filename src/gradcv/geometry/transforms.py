@@ -51,16 +51,35 @@ def mat3_inverse(h) -> Var:
     return stack(rows, axis=1) / det.reshape((-1, 1, 1))
 
 
-def _has_collinear_triple(pts: np.ndarray) -> bool:
-    scale = max(np.ptp(pts[:, 0]), np.ptp(pts[:, 1]), 1.0)
-    for i in range(2):
-        for j in range(i + 1, 3):
-            for k in range(j + 1, 4):
-                u = pts[j] - pts[i]
-                v = pts[k] - pts[i]
-                if abs(u[0] * v[1] - u[1] * v[0]) <= 1e-8 * scale * scale:
-                    return True
-    return False
+_TRIPLES = np.array([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
+
+
+def _has_collinear_triple(pts: np.ndarray) -> np.ndarray:
+    """Whether any 3 of 4 points are collinear, for (..., 4, 2) point sets.
+
+    A triple counts as collinear when its doubled signed area is at most
+    1e-8 * s^2, with s the larger coordinate extent of the set (at least 1).
+    """
+    scale = np.maximum(np.maximum(np.ptp(pts[..., 0], axis=-1), np.ptp(pts[..., 1], axis=-1)), 1.0)
+    p = pts[..., _TRIPLES, :]  # (..., 4 triples, 3 points, 2)
+    u = p[..., 1, :] - p[..., 0, :]
+    v = p[..., 2, :] - p[..., 0, :]
+    area = np.abs(u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0])
+    return (area <= (1e-8 * scale * scale)[..., None]).any(axis=-1)
+
+
+def _dlt_system(src: np.ndarray, dst: np.ndarray) -> tuple:
+    """DLT rows (A, b) of A h = b, with h the first 8 entries of H and
+    H[2,2] = 1, for (..., n, 2) point pairs: A is (..., 2n, 8), b (..., 2n)."""
+    x, y = src[..., 0], src[..., 1]
+    u, v = dst[..., 0], dst[..., 1]
+    one, zero = np.ones_like(x), np.zeros_like(x)
+    row_u = np.stack([x, y, one, zero, zero, zero, -x * u, -y * u], axis=-1)
+    row_v = np.stack([zero, zero, zero, x, y, one, -x * v, -y * v], axis=-1)
+    batch, n = src.shape[:-2], src.shape[-2]
+    a = np.stack([row_u, row_v], axis=-2).reshape(batch + (2 * n, 8))
+    b = np.stack([u, v], axis=-1).reshape(batch + (2 * n,))
+    return a, b
 
 
 def get_perspective_transform(src, dst) -> np.ndarray:
@@ -74,13 +93,7 @@ def get_perspective_transform(src, dst) -> np.ndarray:
     dst = as_array(dst, np.float64).reshape(4, 2)
     if _has_collinear_triple(src) or _has_collinear_triple(dst):
         raise EstimationError("degenerate configuration: three points collinear")
-    a = np.zeros((8, 8))
-    b = np.zeros(8)
-    for i, ((x, y), (u, v)) in enumerate(zip(src, dst)):
-        a[2 * i] = [x, y, 1, 0, 0, 0, -x * u, -y * u]
-        a[2 * i + 1] = [0, 0, 0, x, y, 1, -x * v, -y * v]
-        b[2 * i] = u
-        b[2 * i + 1] = v
+    a, b = _dlt_system(src, dst)
     try:
         h = np.linalg.solve(a, b)
     except np.linalg.LinAlgError as exc:

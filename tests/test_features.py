@@ -105,6 +105,54 @@ def test_nms_subpixel_refinement():
     assert abs(kps[0].x - round(kps[0].x)) <= 0.5
 
 
+def _nms_loop_reference(r, window, threshold):
+    """Per-candidate NMS: the definition nms2d must reproduce bit for bit."""
+    h, w = r.shape
+    rad = window // 2
+    padded = np.pad(r, rad, mode="constant", constant_values=-np.inf)
+    wmax = np.lib.stride_tricks.sliding_window_view(padded, (window, window)).max(axis=(2, 3))
+    padded_hi = np.pad(r, rad, mode="constant", constant_values=np.inf)
+    wmin = np.lib.stride_tricks.sliding_window_view(padded_hi, (window, window)).min(axis=(2, 3))
+    out = []
+    for y, x in np.argwhere((r >= wmax) & (r > threshold) & (wmin < r)):
+        v = r[y, x]
+        ties = np.argwhere(padded[y : y + window, x : x + window] == v)
+        if ((ties[:, 0] + y - rad) * w + ties[:, 1] + x - rad).min() < y * w + x:
+            continue
+        dx = ft._quad_offset(r[y, x - 1], v, r[y, x + 1]) if 0 < x < w - 1 else 0.0
+        dy = ft._quad_offset(r[y - 1, x], v, r[y + 1, x]) if 0 < y < h - 1 else 0.0
+        out.append((float(x + dx), float(y + dy), float(v)))
+    return out
+
+
+def _nms_map(kind, seed):
+    rng = np.random.default_rng(seed)
+    shape = tuple(rng.integers(1, 24, 2))
+    if kind == "quantized":  # few levels: ties and plateaus everywhere
+        return np.round(rng.normal(size=shape) * 2.0) / 2.0
+    if kind == "border":  # strongest values on the border rows and columns
+        r = rng.random(shape)
+        r[0, :] += 2.0
+        r[:, -1] += 2.0
+        return r
+    r = np.round(rng.normal(size=shape), 1)  # "inf": both infinities mixed in
+    r[rng.random(shape) < 0.1] = np.inf
+    r[rng.random(shape) < 0.1] = -np.inf
+    return r
+
+
+@pytest.mark.parametrize("kind", ["quantized", "border", "inf"])
+@pytest.mark.parametrize("window", [1, 3, 5, 7])
+@pytest.mark.parametrize("threshold", [0.0, -np.inf])
+def test_nms_matches_loop_reference(kind, window, threshold):
+    for seed in range(30):
+        r = _nms_map(kind, seed)
+        with np.errstate(invalid="ignore"):  # quadratic fits through infinite values
+            want = _nms_loop_reference(r, window, threshold)
+            got = [(k.x, k.y, k.response) for k in ft.nms2d(r, window=window, threshold=threshold)]
+        assert np.array_equal(np.array(got).reshape(-1, 3), np.array(want).reshape(-1, 3), equal_nan=True)
+
+
 def test_refine_positions_matches_nms():
     rng = np.random.default_rng(5)
     r = gaussian_blur2d(g.Var(rng.random((1, 1, 20, 20))), (5, 5), (1.0, 1.0))
@@ -314,6 +362,62 @@ def test_ransac_deterministic():
     assert np.array_equal(r1[1], r2[1])
 
 
+@pytest.mark.parametrize("n", [4, 5, 9, 300])
+def test_ransac_samples_distinct_in_range(n):
+    idx = ft._draw_samples(np.random.Generator(np.random.Philox(key=7)), n, 2000)
+    assert idx.shape == (2000, 4) and idx.min() >= 0 and idx.max() < n
+    assert (np.sort(idx, axis=1)[:, 1:] != np.sort(idx, axis=1)[:, :-1]).all()
+
+
+def _collinear_loop_reference(pts):
+    scale = max(np.ptp(pts[:, 0]), np.ptp(pts[:, 1]), 1.0)
+    for i in range(2):
+        for j in range(i + 1, 3):
+            for k in range(j + 1, 4):
+                u, v = pts[j] - pts[i], pts[k] - pts[i]
+                if abs(u[0] * v[1] - u[1] * v[0]) <= 1e-8 * scale * scale:
+                    return True
+    return False
+
+
+def test_batched_collinearity_matches_scalar_predicate():
+    rng = np.random.default_rng(21)
+    # small integer grids make collinear triples and repeated points common
+    pts = rng.integers(0, 4, (3000, 4, 2)).astype(np.float64) * rng.choice([1e-3, 1.0, 1e3], (3000, 1, 1))
+    want = np.array([_collinear_loop_reference(p) for p in pts])
+    assert 0 < want.sum() < len(want)
+    assert np.array_equal(geo.transforms._has_collinear_triple(pts), want)
+
+
+def test_singular_sample_skipped_without_numpy_error():
+    # H maps (x, y) to (2/x, 2y/x): H[2,2] = 0, so with H[2,2] fixed to 1 the
+    # DLT system of these non-collinear points is exactly singular
+    src_bad = np.array([[1.0, 0.0], [2.0, 1.0], [1.0, 2.0], [2.0, -1.0]])
+    dst_bad = np.array([[2.0, 0.0], [1.0, 1.0], [2.0, 4.0], [1.0, -1.0]])
+    src_ok = np.array([[0.0, 0.0], [10.0, 0.0], [10.0, 8.0], [0.0, 8.0]])
+    dst_ok = src_ok + [5.0, 3.0]
+    with np.errstate(all="raise"):
+        hs = ft._solve_minimal(np.stack([src_ok, src_bad, src_ok]), np.stack([dst_ok, dst_bad, dst_ok]))
+    want = geo.get_perspective_transform(src_ok, dst_ok)
+    assert np.isnan(hs[1].ravel()[:8]).all() and np.array_equal(hs[[0, 2]], np.stack([want, want]))
+
+
+def test_ransac_tie_keeps_earliest_sample():
+    # random pairs without consensus: every sample's exact fit has the same
+    # 4 inliers, so the first drawn sample must win
+    rng = np.random.default_rng(22)
+    pts, dst = rng.uniform(0, 1000, (8, 2)), rng.uniform(0, 1000, (8, 2))
+    _, mask = ft.ransac_homography(pts, dst, threshold=2.0, max_iters=600, seed=5)
+    first = ft._draw_samples(np.random.Generator(np.random.Philox(key=5)), 8, 600)[0]
+    assert set(np.flatnonzero(mask)) == set(first)
+
+
+def test_ransac_zero_iterations_no_consensus():
+    pts = np.random.default_rng(23).uniform(0, 100, (10, 2))
+    with pytest.raises(g.NoConsensusError):
+        ft.ransac_homography(pts, pts, max_iters=0)
+
+
 # --- pipeline -----------------------------------------------------------------------------
 
 
@@ -339,6 +443,30 @@ def test_detect_scales_by_level():
     for k in kps:
         assert k.scale == pytest.approx(1.6 * 2**k.level)
     assert 0 in levels
+
+
+def test_detect_and_describe_builds_one_pyramid(monkeypatch):
+    calls = []
+    build = ft.hessian_pyramid
+
+    def counting_build(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(ft, "hessian_pyramid", counting_build)
+    img = g.Var(textured_image((96, 96), seed=16, sigma=1.0))
+    kps, _ = ft.detect_and_describe(img, max_keypoints=20)
+    assert len(calls) == 1
+    assert [(k.x, k.y) for k in kps] == [(k.x, k.y) for k in ft.detect(img, max_keypoints=20)]
+
+
+@pytest.mark.parametrize("levels", [[0, 3], [3, 4]])
+def test_describe_rejects_levels_missing_from_pyramid(levels):
+    img = g.Var(textured_image((96, 96), seed=16, sigma=1.0))
+    pyramid = ft.hessian_pyramid(img, levels=2)
+    kps = [ft.Keypoint(x=48.0, y=48.0, level=lvl) for lvl in levels]
+    with pytest.raises(g.ParameterError):
+        ft.describe(img, kps, pyramid=pyramid)
 
 
 def test_translation_equivariant_matching():
