@@ -27,7 +27,6 @@ from ..color import rgb_to_grayscale
 from ..errors import EstimationError, NoConsensusError, OptimizationError
 from ..features import (
     Keypoint,
-    descriptor_spatial_weights,
     detect,
     detect_and_describe,
     dominant_orientations,
@@ -108,11 +107,10 @@ class _Detections:
     thetas: np.ndarray  # frozen orientations
     center_x: np.ndarray  # frozen subpixel centers (level coords) for patches
     center_y: np.ndarray
-    spatial_w: dict  # per-level cached descriptor spatial weights
 
 
-def _snapshot(img: Var, config: RunConfig, levels: int) -> _Detections:
-    kps = detect(img.detach(), max_keypoints=config.max_keypoints, levels=levels)
+def _snapshot(pyramid: list, config: RunConfig) -> _Detections:
+    kps = detect(pyramid[0].image, max_keypoints=config.max_keypoints, pyramid=pyramid)
     if not kps:
         raise EstimationError("no keypoints detected; cannot attack this image")
     scale = np.array([2.0 ** k.level for k in kps])
@@ -126,19 +124,16 @@ def _snapshot(img: Var, config: RunConfig, levels: int) -> _Detections:
         thetas=np.zeros(len(kps)),
         center_x=xs,
         center_y=ys,
-        spatial_w={},
     )
     return det
 
 
-def _forward(img: Var, det: _Detections, levels: int, refresh_orientations: bool = False):
+def _forward(pyramid: list, det: _Detections, refresh_orientations: bool = False):
     """Differentiable positions (M,2) at full resolution and descriptors
-    (M,128) for snapshot detections against the current image.
+    (M,128) for snapshot detections against the current image's pyramid.
 
-    Orientations (and the theta-dependent descriptor constants) are computed
-    once per refresh and reused between refreshes.
+    Orientations are computed once per refresh and reused between refreshes.
     """
-    pyramid = hessian_pyramid(img, levels)
     pos_parts, desc_parts, order = [], [], []
     for lvl, level in enumerate(pyramid):
         sel = np.flatnonzero(det.levels == lvl)
@@ -149,13 +144,9 @@ def _forward(img: Var, det: _Detections, levels: int, refresh_orientations: bool
         )
         pos_parts.append(stack([px, py], axis=1) * float(level.scale))
         patches = extract_patches_at(level.image, det.center_x[sel], det.center_y[sel])
-        if refresh_orientations or lvl not in det.spatial_w:
-            th, _ = dominant_orientations(Var(patches.data))
-            det.thetas[sel] = th
-            det.spatial_w[lvl] = descriptor_spatial_weights(th)
-        desc_parts.append(
-            sift_describe(patches, det.thetas[sel], spatial_weights=det.spatial_w[lvl])
-        )
+        if refresh_orientations:
+            det.thetas[sel], _ = dominant_orientations(Var(patches.data))
+        desc_parts.append(sift_describe(patches, det.thetas[sel]))
         order.extend(sel.tolist())
     inv = np.argsort(np.array(order))
     pos = (pos_parts[0] if len(pos_parts) == 1 else concat(pos_parts, axis=0))[inv]
@@ -225,19 +216,21 @@ def attack(img_a, img_b, h_target, config: RunConfig | None = None) -> AttackRes
 
     for it in range(config.iters):
         if it % config.refresh_every == 0:
-            det_a = _snapshot(va, config, levels)
-            det_b = _snapshot(vb, config, levels)
+            # one detached pyramid per image serves detection and the negative-mining pass
+            pyr_a = hessian_pyramid(va.detach(), levels)
+            pyr_b = hessian_pyramid(vb.detach(), levels)
+            det_a = _snapshot(pyr_a, config)
+            det_b = _snapshot(pyr_b, config)
             ia, ib = _assign_pairs(det_a, det_b, h_target)
-            # descriptors for negative mining only: a detached pass
-            _, desc_a0 = _forward(va.detach(), det_a, levels, refresh_orientations=True)
-            _, desc_b0 = _forward(vb.detach(), det_b, levels, refresh_orientations=True)
+            _, desc_a0 = _forward(pyr_a, det_a, refresh_orientations=True)
+            _, desc_b0 = _forward(pyr_b, det_b, refresh_orientations=True)
             ineg = _hard_negatives(desc_a0.data, desc_b0.data, ia, ib)
             if (it // config.refresh_every) % 3 == 0:
                 mutual, consistent = count_target_consistent_matches(va, vb, h_target, config)
                 result.match_trace.append((it, mutual, consistent))
 
-        pos_a, desc_a = _forward(va, det_a, levels)
-        pos_b, desc_b = _forward(vb, det_b, levels)
+        pos_a, desc_a = _forward(hessian_pyramid(va, levels), det_a)
+        pos_b, desc_b = _forward(hessian_pyramid(vb, levels), det_b)
         p1 = pos_a[ia]
         p2 = transform_points(h_target, pos_b[ib])
         diff = p1 - p2

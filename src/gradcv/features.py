@@ -1,8 +1,8 @@
 """Classical local features, differentiable end to end where it matters.
 
 Pipeline (wide-baseline matching): Gaussian pyramid -> Hessian blob response
-per level -> hard non-maxima suppression -> patch extraction at keypoint
-scale -> dominant gradient orientation -> SIFT description -> mutual
+per level -> hard NMS -> patch extraction at keypoint scale -> dominant
+gradient orientation -> SIFT description by sparse trilinear voting -> mutual
 nearest-neighbor matching -> RANSAC homography verification.
 
 Detection (integer NMS locations, orientation assignment, match indices) is
@@ -20,7 +20,7 @@ from .errors import EstimationError, NoConsensusError, ParameterError, ShapeErro
 from .filters import gaussian_blur2d, pyramid_down, spatial_gradient
 from .geometry.transforms import _dlt_system, _has_collinear_triple
 from .kernels import sample_bilinear
-from .tape import Var, _record, as_var, concat, matmul, sqrt, where
+from .tape import Var, _record, as_var, concat, sqrt, where
 from .tensor import as_array
 
 PATCH_SIZE = 32
@@ -263,70 +263,72 @@ def dominant_orientation(patch) -> tuple:
 # SIFT description
 
 
-def _soft_orientation_votes(dx: Var, dy: Var, thetas: np.ndarray) -> Var:
-    """Fused magnitude-weighted soft orientation binning.
+_DESC_BLOCK = 16  # keypoints binned per block, so every block temporary stays cache-sized
+# votes land on a grid with a 2-bin border that is dropped (rotated patches reach 2.24 bins out)
+_GRID = DESC_SPATIAL_BINS + 4
+_CORNERS = np.array([0, 1, _GRID, _GRID + 1])[:, None, None] * DESC_ORI_BINS  # y0x0 y0x1 y1x0 y1x1
 
-    votes[n,p,o] = |grad| * max(0, 1 - |wrap(angle - theta_n - c_o)| / bw)
-    for the 8 descriptor bins.  One tape node with an analytic vjp: the
-    elementwise chain over (N,P,8) arrays is the descriptor hot path.
+
+def _sift_histogram(dx: Var, dy: Var, thetas: np.ndarray) -> Var:
+    """Raw (N,128) SIFT histograms of per-pixel gradients dx, dy (N,P).
+
+    Each pixel adds |grad| * Gaussian * wy * wx * wo to bin (by*4+bx)*8+o of its
+    2x2 spatial bins (theta-rotated) and 2 orientation bins (modulo 8).  The vjp
+    gathers the same <= 8 bins per pixel and folds them back through atan2 and sqrt.
     """
-    bw = 2.0 * np.pi / DESC_ORI_BINS
-    centers = np.arange(DESC_ORI_BINS) * bw
-    dxa = dx.data
-    dya = dy.data
-    r2 = dxa * dxa + dya * dya + _MAG_EPS
-    mag = np.sqrt(r2)
-    ang = np.arctan2(dya, dxa) - thetas[:, None]
-    diff = ang[:, :, None] - centers
-    wrapped = diff - 2.0 * np.pi * np.floor((diff + np.pi) / (2.0 * np.pi))
-    tri = 1.0 - np.abs(wrapped) * (1.0 / bw)
-    active = tri > 0.0
-    tri *= active
-    out = mag[:, :, None] * tri
+    dxa, dya = dx.data, dy.data
+    n, p = dxa.shape
+    spacing = PATCH_SIZE / DESC_SPATIAL_BINS  # offsets from the patch center are in bins
+    v, u = (np.indices((PATCH_SIZE, PATCH_SIZE)).reshape(2, p) - (PATCH_SIZE - 1) / 2.0) / spacing
+    gauss = np.exp(-(u * u + v * v) / (2.0 * (0.5 * DESC_SPATIAL_BINS) ** 2))  # sigma: half the patch
+    center = (_GRID - 1) / 2.0  # padded-grid bin coordinate of the patch center
+    per_rad = DESC_ORI_BINS / (2.0 * np.pi)
+    mag = np.sqrt(dxa * dxa + dya * dya + _MAG_EPS)
+    blocks = [slice(i, i + _DESC_BLOCK) for i in range(0, n, _DESC_BLOCK)]
+
+    def votes(blk):
+        # rotate offsets by -theta so the descriptor frame tracks the keypoint
+        cos_t, sin_t = np.cos(thetas[blk, None]), np.sin(thetas[blk, None])
+        fx, fy = cos_t * u + sin_t * v + center, cos_t * v - sin_t * u + center
+        lx, ly = np.floor(fx), np.floor(fy)
+        wy = np.stack([ly + 1.0 - fy, fy - ly]) * gauss
+        sw = (wy[:, None] * np.stack([lx + 1.0 - fx, fx - lx])).reshape(4, len(cos_t), p)
+        cell = (ly * _GRID + lx + np.arange(len(cos_t))[:, None] * _GRID**2) * DESC_ORI_BINS
+        fo = (np.arctan2(dya[blk], dxa[blk]) - thetas[blk, None]) * per_rad
+        lo = np.floor(fo)
+        # DESC_ORI_BINS is a power of two, so & wraps negative bins as well
+        ori = (lo.astype(np.int64) + np.arange(2)[:, None, None]) & (DESC_ORI_BINS - 1)
+        idx = (cell.astype(np.int64) + _CORNERS)[:, None] + ori  # (4,2,B,P)
+        # an angle exactly on a bin center (a kink of its tent) takes the zero slope
+        return idx, sw, np.stack([lo + 1.0 - fo, fo - lo]), (fo > lo) * per_rad
+
+    hist = np.empty((n, _GRID, _GRID, DESC_ORI_BINS))
+    for blk in blocks:
+        idx, sw, wo, _ = votes(blk)
+        h = hist[blk]
+        h[...] = np.bincount(idx.ravel(), (sw[:, None] * (wo * mag[blk])).ravel(), h.size).reshape(h.shape)
 
     def vjp(g):
-        # d votes/d mag and d votes/d angle, folded back through atan2/sqrt
-        g_mag = (g * tri).sum(axis=2)
-        g_ang = (g * (mag[:, :, None] * (-np.sign(wrapped) / bw) * active)).sum(axis=2)
-        gdx = g_mag * (dxa / mag) + g_ang * (-dya / r2)
-        gdy = g_mag * (dya / mag) + g_ang * (dxa / r2)
-        return (gdx, gdy)
+        padded = np.pad(g.reshape(n, DESC_SPATIAL_BINS, DESC_SPATIAL_BINS, -1), [(0, 0), (2, 2), (2, 2), (0, 0)])
+        g_mag, g_ang = np.empty_like(mag), np.empty_like(mag)
+        for blk in blocks:
+            idx, sw, wo, slope = votes(blk)
+            gs = (padded[blk].ravel()[idx] * sw[:, None]).sum(axis=0)  # (2,B,P)
+            g_mag[blk] = gs[0] * wo[0] + gs[1] * wo[1]
+            g_ang[blk] = (gs[1] - gs[0]) * slope  # d/d(angle), divided by |grad|
+        # |grad| moves by (dx, dy) / |grad|, the angle by (-dy, dx) / |grad|^2
+        return ((g_mag * dxa - g_ang * dya) / mag, (g_mag * dya + g_ang * dxa) / mag)
 
-    return _record(out, (dx, dy), vjp)
-
-
-def descriptor_spatial_weights(thetas: np.ndarray, size: int = PATCH_SIZE) -> np.ndarray:
-    """Constant per-pixel spatial weights (N, size*size, 16): bilinear bin
-    tents on theta-rotated coordinates times a Gaussian window."""
-    n = thetas.shape[0]
-    c = (size - 1) / 2.0
-    yy, xx = np.mgrid[0:size, 0:size]
-    u = (xx - c).ravel()
-    v = (yy - c).ravel()
-    cos_t, sin_t = np.cos(thetas), np.sin(thetas)
-    # rotate offsets by -theta so the descriptor frame tracks the keypoint
-    ur = cos_t[:, None] * u + sin_t[:, None] * v
-    vr = -sin_t[:, None] * u + cos_t[:, None] * v
-    half = size / 2.0
-    spacing = size / DESC_SPATIAL_BINS
-    centers = (np.arange(DESC_SPATIAL_BINS) + 0.5) * spacing - half
-    wx = np.maximum(0.0, 1.0 - np.abs(ur[:, :, None] - centers) / spacing)
-    wy = np.maximum(0.0, 1.0 - np.abs(vr[:, :, None] - centers) / spacing)
-    gauss = np.exp(-(ur**2 + vr**2) / (2.0 * (0.5 * size) ** 2))
-    sw = wy[:, :, :, None] * wx[:, :, None, :]  # (N,P,4y,4x)
-    return (sw * gauss[:, :, None, None]).reshape(n, size * size, -1)
+    return _record(hist[:, 2:-2, 2:-2].reshape(n, -1), (dx, dy), vjp)
 
 
-def sift_describe(patches, orientations=None, spatial_weights=None) -> Var:
+def sift_describe(patches, orientations=None) -> Var:
     """128-D SIFT descriptors for (N,1,32,32) patches (or one 32x32 patch).
 
-    4x4 spatial bins x 8 orientation bins with soft bilinear voting in both
-    domains, Gaussian spatial weighting, then L2-normalize -> clamp at 0.2 ->
+    4x4 spatial x 8 orientation bins filled by sparse trilinear voting
+    (:func:`_sift_histogram`), then L2-normalize -> clamp at 0.2 ->
     re-normalize.  Differentiable w.r.t. the patches; orientations are
     per-patch constants.  Constant patches yield the zero vector.
-
-    spatial_weights lets callers reuse the theta-dependent constants from
-    :func:`descriptor_spatial_weights` across repeated calls.
     """
     pv = as_var(patches)
     if pv.ndim == 2:
@@ -338,14 +340,12 @@ def sift_describe(patches, orientations=None, spatial_weights=None) -> Var:
     thetas = np.zeros(n) if orientations is None else np.atleast_1d(as_array(orientations, np.float64))
     if thetas.shape != (n,):
         raise ShapeError(f"need {n} orientations, got shape {thetas.shape}")
+    if not np.isfinite(thetas).all():
+        raise ParameterError("orientations must be finite")
 
     dx, dy = _patch_gradients(pv)
     degenerate = (np.abs(dx.data).max(axis=(1, 2, 3)) + np.abs(dy.data).max(axis=(1, 2, 3))) < 1e-12
-    votes = _soft_orientation_votes(
-        dx.reshape((n, s * s)), dy.reshape((n, s * s)), thetas
-    )  # (N, P, 8)
-    sw = descriptor_spatial_weights(thetas, s) if spatial_weights is None else spatial_weights
-    desc = matmul(as_var(sw).swapaxes(1, 2), votes).reshape((n, -1))  # (N, 128)
+    desc = _sift_histogram(dx.reshape((n, s * s)), dy.reshape((n, s * s)), thetas)
 
     norm = sqrt((desc * desc).sum(axis=1, keepdims=True) + _MAG_EPS)
     desc = desc / norm

@@ -17,6 +17,7 @@ from .tape import Var, _record, as_var
 from .tensor import as_array
 
 BORDER_MODES = ("zero", "replicate", "reflect")
+_NP_PAD_MODES = {"zero": "constant", "replicate": "edge", "reflect": "symmetric"}
 
 # Source coordinates within this distance of an integer are snapped to it so
 # identity grids and integer-pixel warps reproduce inputs bit-for-bit.
@@ -65,13 +66,11 @@ def pad2d(x, padding: Sequence[int], mode: str = "zero") -> Var:
     if min(pt, pb, pl, pr) < 0:
         raise ParameterError("padding must be non-negative")
     _, _, h, w = x.shape
+    # the index maps validate the mode and the reflect extent, and drive the adjoint
     iy = _pad_index(h, pt, pb, mode)
     ix = _pad_index(w, pl, pr, mode)
-    arr = x.data[:, :, np.maximum(iy, 0)[:, None], np.maximum(ix, 0)[None, :]]
-    if mode == "zero":
-        mask = (iy >= 0)[:, None] & (ix >= 0)[None, :]
-        if not mask.all():
-            arr = arr * mask
+    arr = np.pad(x.data, ((0, 0), (0, 0), (pt, pb), (pl, pr)), mode=_NP_PAD_MODES[mode])
+
     def vjp(g):
         g = _fold_axis(g, iy, pt, h, 2)
         g = _fold_axis(g, ix, pl, w, 3)

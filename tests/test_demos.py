@@ -1,10 +1,12 @@
 """Demo entry points at small scale (full-scale runs live in acceptance)."""
+import importlib
 import os
 
 import numpy as np
 import pytest
 
 import gradcv as g
+from gradcv import features
 from gradcv.demos import RunConfig, attack, estimate_depth, register, run_bench, synthetic
 from gradcv.demos.attack import count_target_consistent_matches
 from gradcv.demos.bench import write_bench_csv
@@ -159,6 +161,25 @@ def test_attack_smoke_runs_and_descends(tmp_path):
     assert (out / "match_trace.csv").exists()
     # pixels stay in range
     assert res.img_a.data.min() >= 0.0 and res.img_a.data.max() <= 1.0
+
+
+def test_attack_refresh_shares_one_detached_pyramid_per_image(monkeypatch):
+    # per image: the pre-attack count, detection plus the negative-mining pass
+    # (one shared pyramid), the count at the refresh, the gradient pass and
+    # the final count
+    attack_module = importlib.import_module("gradcv.demos.attack")
+    calls = []
+    build = features.hessian_pyramid
+
+    def counting_build(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(features, "hessian_pyramid", counting_build)
+    monkeypatch.setattr(attack_module, "hessian_pyramid", counting_build)
+    img_a, img_b, h = _attack_inputs(seed=12)
+    attack(img_a, img_b, h, RunConfig(iters=1, levels=3, lr=3e-3, max_keypoints=60, seed=0))
+    assert len(calls) == 10
 
 
 def test_count_metric_identical_images_identity_h():

@@ -5,7 +5,9 @@ import pytest
 import gradcv as g
 from gradcv import features as ft
 from gradcv import geometry as geo
+from gradcv.demos import synthetic
 from gradcv.filters import gaussian_blur2d
+from gradcv.tape import _record
 from gradcv.testing import gradcheck
 
 
@@ -247,6 +249,12 @@ def test_sift_wrong_size_rejected():
         ft.sift_describe(np.ones((16, 16)))
 
 
+@pytest.mark.parametrize("theta", [np.nan, np.inf])
+def test_sift_rejects_non_finite_orientation(theta):
+    with pytest.raises(g.ParameterError):
+        ft.sift_describe(np.ones((2, 1, 32, 32)), np.array([0.0, theta]))
+
+
 @pytest.mark.parametrize("seed", [3, 4, 5, 6, 7])
 def test_sift_gradcheck(seed):
     # seeds chosen away from histogram-bin boundaries (spec excludes them)
@@ -257,6 +265,121 @@ def test_sift_gradcheck(seed):
         return ft.sift_describe(p, np.array([0.37])).sum()
 
     gradcheck(f, [patch], rtol=1e-3)
+
+
+# --- sparse SIFT binning vs the dense formulas ----------------------------------------
+# Dense reference: every pixel evaluates all 8 orientation tents and all 16
+# spatial tents, contracted by a batched matmul.  Swapped in for
+# ft._sift_histogram, it is what the sparse voting must reproduce up to rounding.
+
+
+def _dense_orientation_votes(dx, dy, thetas):
+    bw = 2.0 * np.pi / ft.DESC_ORI_BINS
+    centers = np.arange(ft.DESC_ORI_BINS) * bw
+    dxa, dya = dx.data, dy.data
+    r2 = dxa * dxa + dya * dya + 1e-12
+    mag = np.sqrt(r2)
+    diff = (np.arctan2(dya, dxa) - thetas[:, None])[:, :, None] - centers
+    wrapped = diff - 2.0 * np.pi * np.floor((diff + np.pi) / (2.0 * np.pi))
+    tri = 1.0 - np.abs(wrapped) * (1.0 / bw)
+    active = tri > 0.0
+    tri *= active
+
+    def vjp(gr):
+        g_mag = (gr * tri).sum(axis=2)
+        g_ang = (gr * (mag[:, :, None] * (-np.sign(wrapped) / bw) * active)).sum(axis=2)
+        return (g_mag * (dxa / mag) + g_ang * (-dya / r2), g_mag * (dya / mag) + g_ang * (dxa / r2))
+
+    return _record(mag[:, :, None] * tri, (dx, dy), vjp)  # (N, P, 8)
+
+
+def _dense_spatial_weights(thetas, size=32):
+    c = (size - 1) / 2.0
+    yy, xx = np.mgrid[0:size, 0:size]
+    u, v = (xx - c).ravel(), (yy - c).ravel()
+    cos_t, sin_t = np.cos(thetas)[:, None], np.sin(thetas)[:, None]
+    ur = cos_t * u + sin_t * v
+    vr = -sin_t * u + cos_t * v
+    spacing = size / ft.DESC_SPATIAL_BINS
+    centers = (np.arange(ft.DESC_SPATIAL_BINS) + 0.5) * spacing - size / 2.0
+    wx = np.maximum(0.0, 1.0 - np.abs(ur[:, :, None] - centers) / spacing)
+    wy = np.maximum(0.0, 1.0 - np.abs(vr[:, :, None] - centers) / spacing)
+    gauss = np.exp(-(ur**2 + vr**2) / (2.0 * (0.5 * size) ** 2))
+    sw = wy[:, :, :, None] * wx[:, :, None, :] * gauss[:, :, None, None]  # (N,P,4y,4x)
+    return sw.reshape(len(thetas), size * size, -1)
+
+
+def _dense_histogram(dx, dy, thetas):
+    votes = _dense_orientation_votes(dx, dy, thetas)
+    sw = g.Var(_dense_spatial_weights(thetas)).swapaxes(1, 2)
+    return g.matmul(sw, votes).reshape((len(thetas), -1))
+
+
+def _describe_with_vjp(patches, thetas, cotangent):
+    pv = g.Var(patches, requires_grad=True)
+    desc = ft.sift_describe(pv, thetas)
+    return desc.data, g.backward((desc * cotangent).sum())[pv].data
+
+
+def _sparse_and_dense(monkeypatch, patches, thetas):
+    cotangent = np.random.default_rng(len(patches)).normal(size=(len(patches), 128))
+    sparse = _describe_with_vjp(patches, thetas, cotangent)
+    monkeypatch.setattr(ft, "_sift_histogram", _dense_histogram)
+    return sparse, _describe_with_vjp(patches, thetas, cotangent)
+
+
+def _relative(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+_SIFT_THETAS = [0.0, *(k * np.pi / 4 for k in range(1, 8)), -0.3, 2 * np.pi - 1e-15]
+
+
+@pytest.mark.parametrize("theta", _SIFT_THETAS)
+@pytest.mark.parametrize("n", [1, 17, 40])  # 17 and 40 span more than one binning block
+def test_sift_sparse_binning_matches_dense(monkeypatch, n, theta):
+    rng = np.random.default_rng(n)
+    patches = gaussian_blur2d(g.Var(rng.random((n, 1, 32, 32))), (5, 5), (1.0, 1.0)).data
+    thetas = np.full(n, theta)
+    thetas[1::2] = rng.uniform(-np.pi, 3 * np.pi, size=n // 2)  # mixed orientations per block
+    (desc, grad), (desc_ref, grad_ref) = _sparse_and_dense(monkeypatch, patches, thetas)
+    assert np.abs(desc - desc_ref).max() <= 1e-12
+    assert _relative(grad, grad_ref) <= 1e-10
+
+
+@pytest.mark.parametrize("theta", _SIFT_THETAS)
+def test_sift_sparse_binning_matches_dense_on_bin_centers(monkeypatch, theta):
+    # ramps along the 8 bin directions: every interior gradient angle is
+    # exactly a bin center for theta = k*pi/4 (a kink of the orientation tent)
+    yy, xx = np.mgrid[0:32, 0:32] / 64.0
+    dirs = [(1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1)]
+    patches = np.stack([a * xx + b * yy for a, b in dirs])[:, None]
+    thetas = np.full(len(dirs), theta)
+    (desc, grad), (desc_ref, grad_ref) = _sparse_and_dense(monkeypatch, patches, thetas)
+    assert np.abs(desc - desc_ref).max() <= 1e-12
+    # at 2*pi - 1e-15 the angles sit within rounding of a bin center, where the
+    # slope either form takes depends on how angle - theta rounds
+    if theta != 2 * np.pi - 1e-15:
+        assert _relative(grad, grad_ref) <= 1e-10
+
+
+@pytest.mark.parametrize("seed", [0, 11])
+def test_match_list_same_with_dense_descriptors(monkeypatch, seed):
+    # the match workload's 256x256 pair
+    h_true = synthetic.rotation_translation_h(256, 256, 5.0, 6.0, -4.0)
+    src, dst = synthetic.warped_pair(256, 256, h_true, seed=seed)
+
+    def matches():
+        _, desc_a = ft.detect_and_describe(src, 500)
+        _, desc_b = ft.detect_and_describe(dst, 500)
+        return ft.match_mnn(desc_a.data, desc_b.data)
+
+    sparse = matches()
+    monkeypatch.setattr(ft, "_sift_histogram", _dense_histogram)
+    dense = matches()
+    assert len(sparse) >= 100
+    assert [(m.ia, m.ib) for m in sparse] == [(m.ia, m.ib) for m in dense]
+    assert np.allclose([m.distance for m in sparse], [m.distance for m in dense], rtol=0, atol=1e-12)
 
 
 # --- matching ---------------------------------------------------------------------------

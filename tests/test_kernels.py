@@ -4,6 +4,7 @@ import pytest
 
 import gradcv as g
 from gradcv.filters import gaussian_blur2d, sobel_edges
+from gradcv.kernels import _pad_index
 from gradcv.losses import ssim_loss
 from gradcv.testing import gradcheck
 
@@ -242,6 +243,32 @@ def test_pad_matches_numpy(mode):
     np_mode = {"zero": "constant", "replicate": "edge", "reflect": "symmetric"}[mode]
     expect = np.pad(x, ((0, 0), (0, 0), (1, 2), (2, 1)), mode=np_mode)
     assert np.array_equal(out.data, expect)
+
+
+def _pad_by_index_map(x, padding, mode):
+    """Reference: gather through the per-axis index maps, zero where they hold -1."""
+    pt, pb, pl, pr = padding
+    iy = _pad_index(x.shape[2], pt, pb, mode)
+    ix = _pad_index(x.shape[3], pl, pr, mode)
+    out = x[:, :, np.maximum(iy, 0)[:, None], np.maximum(ix, 0)[None, :]]
+    return out * ((iy >= 0)[:, None] & (ix >= 0)[None, :]) if mode == "zero" else out
+
+
+@pytest.mark.parametrize("mode", ["zero", "replicate", "reflect"])
+@pytest.mark.parametrize(
+    "shape, padding",
+    [
+        ((1, 5, 60, 80), (5, 5, 5, 5)),  # the depth demo's blur pad
+        ((40, 1, 32, 32), (1, 1, 1, 1)),  # descriptor patches
+        ((2, 3, 4, 5), (2, 3, 4, 1)),
+        ((2, 2, 3, 4), (3, 3, 0, 2)),  # pad as wide as the extent
+    ],
+)
+def test_pad_forward_matches_index_map_gather(mode, shape, padding):
+    x = np.random.default_rng(12).normal(size=shape)
+    out = g.pad2d(g.Var(x), padding, mode=mode).data
+    assert out.dtype == x.dtype
+    assert np.array_equal(out, _pad_by_index_map(x, padding, mode))
 
 
 @pytest.mark.parametrize("mode", ["zero", "replicate", "reflect"])
