@@ -39,10 +39,9 @@ from ..features import (
 )
 from ..geometry.linalg import transform_points
 from ..imgio import save_image
-from ..optim import Adam
 from ..tape import Var, as_var, backward, concat, mean, sqrt, stack
 from ..tensor import Tensor, as_array
-from .config import RunConfig, write_trace_csv
+from .config import RunConfig, make_optimizer, write_trace_csv
 
 _PAIR_RADIUS = 16.0  # px: only keypoint pairs this close after reprojection
 _MIN_PAIRS = 8
@@ -197,7 +196,8 @@ def attack(img_a, img_b, h_target, config: RunConfig | None = None) -> AttackRes
 
     h_target maps image-b pixel coordinates into image a.  Images are
     processed in grayscale ([0,1]); pixels are clamped back into [0,1] after
-    every Adam step.  Returns the perturbed pair plus loss and match traces.
+    every step of config.optimizer.  Returns the perturbed pair plus loss and
+    match traces.
     """
     config = config or RunConfig(levels=3, iters=300, lr=3e-3, alpha=1.0, beta=10.0)
     h_target = as_array(h_target, np.float64)
@@ -205,7 +205,7 @@ def attack(img_a, img_b, h_target, config: RunConfig | None = None) -> AttackRes
     base_b = _to_gray(img_b).detach()
     va = Var(base_a.data.copy(), requires_grad=True)
     vb = Var(base_b.data.copy(), requires_grad=True)
-    opt = Adam([va, vb], lr=config.lr)
+    opt = make_optimizer(config, [va, vb])
     levels = min(config.levels, 3)
 
     result = AttackResult(img_a=va.value, img_b=vb.value)

@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..errors import ParameterError
+from ..optim import Adam, SgdMomentum
 
 
 @dataclass
@@ -50,6 +51,13 @@ class RunConfig:
         if self.out_dir:
             os.makedirs(self.out_dir, exist_ok=True)
         return self.out_dir
+
+
+def make_optimizer(config: RunConfig, params):
+    """The optimizer config.optimizer names, over the leaf Vars params."""
+    if config.optimizer == "sgd_momentum":
+        return SgdMomentum(params, lr=config.lr, momentum=config.momentum)
+    return Adam(params, lr=config.lr)
 
 
 def write_trace_csv(path, rows) -> None:

@@ -20,10 +20,9 @@ from ..geometry.depth import depth_warp
 from ..imgio import save_image
 from ..kernels import upsample_bilinear
 from ..losses import multiview_photo_loss
-from ..optim import Adam, SgdMomentum
 from ..tape import Var, as_var, backward, maximum
 from ..tensor import Tensor
-from .config import RunConfig, write_trace_csv
+from .config import RunConfig, make_optimizer, write_trace_csv
 
 _DEPTH_FLOOR = 1e-3
 
@@ -101,10 +100,7 @@ def estimate_depth(views, config: RunConfig | None = None, ref_index: int = 0) -
             depth_param = Var(
                 upsample_bilinear(depth_param.detach(), size).data, requires_grad=True
             )
-        if config.optimizer == "adam":
-            opt = Adam([depth_param], lr=config.lr)
-        else:
-            opt = SgdMomentum([depth_param], lr=config.lr, momentum=config.momentum)
+        opt = make_optimizer(config, [depth_param])
         warped_views = []
         for _ in range(config.iters):
             d_full = upsample_bilinear(maximum(depth_param, _DEPTH_FLOOR), (h_full, w_full))

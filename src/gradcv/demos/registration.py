@@ -17,10 +17,9 @@ from ..errors import OptimizationError, ShapeError
 from ..filters import gaussian_pyramid
 from ..geometry.transforms import denormalize_homography, homography_warp
 from ..imgio import save_image
-from ..optim import Adam, SgdMomentum
 from ..tape import Var, as_var, backward, concat, mean
 from ..tensor import Tensor
-from .config import RunConfig, write_trace_csv
+from .config import RunConfig, make_optimizer, write_trace_csv
 
 
 @dataclass
@@ -29,12 +28,6 @@ class RegistrationResult:
     trace: list = field(default_factory=list)  # (iteration, level, loss)
     warped: list = field(default_factory=list)  # level-end warped source, coarse->fine
     final_loss: float = 0.0
-
-
-def _make_optimizer(config: RunConfig, params):
-    if config.optimizer == "sgd_momentum":
-        return SgdMomentum(params, lr=config.lr, momentum=config.momentum)
-    return Adam(params, lr=config.lr)
 
 
 def register(img_src, img_dst, config: RunConfig | None = None) -> RegistrationResult:
@@ -65,7 +58,7 @@ def register(img_src, img_dst, config: RunConfig | None = None) -> RegistrationR
     for level in range(config.levels - 1, -1, -1):
         level_src = Var(pyr_src[min(level, len(pyr_src) - 1)].data)
         level_dst = Var(pyr_dst[min(level, len(pyr_dst) - 1)].data)
-        opt = _make_optimizer(config, [params])
+        opt = make_optimizer(config, [params])
         warped = None
         for _ in range(config.iters):
             m = concat([params, one], axis=0).reshape((1, 3, 3))

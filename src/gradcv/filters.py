@@ -7,36 +7,20 @@ selected element, correct almost everywhere).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ParameterError, ShapeError
+from .errors import ParameterError
 from .kernels import _require_4d, conv2d, pad2d
 from .tape import Var, _record, as_var, sqrt, stack
 from .tensor import Tensor
 
 SOBEL_X = np.array([[-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0], [-1.0, 0.0, 1.0]])
-DIFF_X = np.array([[0.0, 0.0, 0.0], [-0.5, 0.0, 0.5], [0.0, 0.0, 0.0]])
+DIFF_X = np.array([[-0.5, 0.0, 0.5]])
 LAPLACIAN_3 = np.array([[0.0, 1.0, 0.0], [1.0, -4.0, 1.0], [0.0, 1.0, 0.0]])
 
 # keeps sqrt differentiable on perfectly flat regions
 _EDGE_EPS = 1e-12
-
-
-@dataclass(frozen=True)
-class Kernel2d:
-    """A 2-D stencil plus a flag recording whether it integrates to one."""
-
-    values: Tensor
-    normalized: bool = False
-
-    def __post_init__(self):
-        if self.values.ndim != 2:
-            raise ShapeError(f"Kernel2d values must be 2-D, got {self.values.shape}")
-        if self.normalized and abs(float(self.values.data.sum()) - 1.0) > 1e-9:
-            raise ParameterError("normalized kernel must sum to 1 +- 1e-9")
 
 
 def _check_odd(k: int, name: str) -> None:
@@ -52,12 +36,6 @@ def gaussian_kernel1d(size: int, sigma: float) -> Tensor:
     x = np.arange(size, dtype=np.float64) - size // 2
     k = np.exp(-0.5 * (x / sigma) ** 2)
     return Tensor((k / k.sum())[None, :])
-
-
-def gaussian_kernel2d(size: tuple, sigma: tuple) -> Kernel2d:
-    ky = gaussian_kernel1d(size[0], sigma[0]).data
-    kx = gaussian_kernel1d(size[1], sigma[1]).data
-    return Kernel2d(Tensor(ky.T @ kx), normalized=True)
 
 
 def gaussian_blur2d(img, size: tuple, sigma: tuple, border: str = "reflect") -> Var:
@@ -120,7 +98,8 @@ def spatial_gradient(img, mode: str = "sobel", normalized: bool = True) -> Var:
     """First-order image derivatives, stacked as NxCx2xHxW (dx, dy).
 
     sobel uses the 3x3 Sobel stencils (divided by 8 when normalized so a
-    unit ramp reads 1); diff uses central differences [-0.5, 0, 0.5].
+    unit ramp reads 1); diff uses central differences, the 1x3 stencil
+    [-0.5, 0, 0.5] and its transpose.
     """
     img = as_var(img)
     _require_4d(img, "spatial_gradient")

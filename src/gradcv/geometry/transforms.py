@@ -5,6 +5,13 @@ Warp convention: the matrix maps input pixel coordinates to output pixel
 coordinates; warps are inverse-sampling (each output pixel back-projects
 into the source), so outputs have no holes and warping is differentiable
 w.r.t. both the image and the transform.
+
+Every warp takes one path, `_warp`: a 3x3 map from output to input pixel
+coordinates, one matmul over the homogeneous output pixel grid, the
+perspective divide, and one `sample_bilinear`.  `warp_perspective` (and
+`warp_affine` through it) hands `_warp` the inverse homography;
+`homography_warp` wraps its normalized map between the constant
+pixel -> normalized and normalized -> pixel matrices.
 """
 from __future__ import annotations
 
@@ -12,8 +19,8 @@ import numpy as np
 
 from ..errors import EstimationError, ParameterError, ShapeError
 from ..kernels import sample_bilinear
-from ..tape import Var, as_var, concat, stack, where
-from ..tensor import as_array
+from ..tape import Var, as_var, concat, matmul, stack, where
+from ..tensor import Tensor, as_array
 
 _DET_EPS = 1e-12
 
@@ -103,22 +110,33 @@ def get_perspective_transform(src, dst) -> np.ndarray:
     return np.append(h, 1.0).reshape(3, 3)
 
 
-def _warp_coords(h_inv: Var, xs: np.ndarray, ys: np.ndarray, n: int):
-    """Back-project constant output pixel coords through (N,3,3) h_inv."""
-    xs_v, ys_v = as_var(xs), as_var(ys)
-    m = lambda i, j: h_inv[:, i, j].reshape((-1, 1))
-    denom = m(2, 0) * xs_v + m(2, 1) * ys_v + m(2, 2)
-    ok = np.abs(denom.data) > _DET_EPS
+def _warp(img: Var, m: Var, dsize) -> Var:
+    """Sample img at m @ [x, y, 1] for every pixel (x, y) of a dsize output.
+
+    m is (1|N,3,3) and maps output pixel coordinates to input pixel
+    coordinates: one matmul over the constant homogeneous pixel grid, the
+    perspective divide, then one bilinear lookup.
+    """
+    n = img.shape[0]
+    if m.shape[0] not in (1, n):
+        raise ShapeError(f"{m.shape[0]} transforms for batch of {n}")
+    if m.shape[0] != n:
+        m = m * np.ones((n, 1, 1), m.dtype)  # one shared map for the whole batch
+    ho, wo = dsize
+    grid = np.ones((3, ho, wo), dtype=m.dtype)  # homogeneous (x, y, 1) per output pixel
+    grid[0], grid[1] = np.arange(wo), np.arange(ho)[:, None]
+    p = matmul(m, Var(Tensor._wrap(grid.reshape(3, -1))))  # (N,3,H'W'); the grid is not copied
+    w = p[:, 2:]
+    ok = np.abs(w.data) > _DET_EPS
     degenerate = not ok.all()
     if degenerate:
-        denom = where(ok, denom, 1.0)
-    sx = (m(0, 0) * xs_v + m(0, 1) * ys_v + m(0, 2)) / denom
-    sy = (m(1, 0) * xs_v + m(1, 1) * ys_v + m(1, 2)) / denom
+        w = where(ok, w, 1.0)
+    xy = p[:, :2] / w
     if degenerate:
         # points mapped to infinity fall far outside -> zero-border samples
-        sx = where(ok, sx, -1e9)
-        sy = where(ok, sy, -1e9)
-    return sx, sy
+        xy = where(ok, xy, -1e9)
+    xy = xy.reshape((n, 2, ho, wo))
+    return sample_bilinear(img, xy[:, 0], xy[:, 1])
 
 
 def warp_perspective(img, h, dsize=None) -> Var:
@@ -129,18 +147,7 @@ def warp_perspective(img, h, dsize=None) -> Var:
     img = as_var(img)
     if img.ndim != 4:
         raise ShapeError(f"warp_perspective expects NCHW input, got {img.shape}")
-    h = _as_batched_mat3(h)
-    n = img.shape[0]
-    if h.shape[0] not in (1, n):
-        raise ShapeError(f"{h.shape[0]} transforms for batch of {n}")
-    ho, wo = dsize if dsize is not None else img.shape[2:]
-    h_inv = mat3_inverse(h)
-    xs, ys = np.meshgrid(np.arange(wo, dtype=img.dtype), np.arange(ho, dtype=img.dtype))
-    sx, sy = _warp_coords(h_inv, xs.ravel()[None], ys.ravel()[None], n)
-    if h.shape[0] == 1 and n > 1:
-        ones = np.ones((n, 1))
-        sx, sy = sx * ones, sy * ones
-    return sample_bilinear(img, sx.reshape((n, ho, wo)), sy.reshape((n, ho, wo)))
+    return _warp(img, mat3_inverse(h), dsize if dsize is not None else img.shape[2:])
 
 
 def warp_affine(img, m, dsize=None) -> Var:
@@ -167,10 +174,13 @@ def get_rotation_matrix2d(center, angle_deg: float, scale: float) -> np.ndarray:
 
 
 def normal_transform_pixel(height: int, width: int) -> np.ndarray:
-    """Pixel -> normalized [-1,1] coordinate matrix for an HxW image."""
-    return np.array(
-        [[2.0 / (width - 1), 0.0, -1.0], [0.0, 2.0 / (height - 1), -1.0], [0.0, 0.0, 1.0]]
-    )
+    """Pixel -> normalized [-1,1] coordinate matrix for an HxW image.
+
+    An extent of 1 maps its only pixel to normalized 0.
+    """
+    sx, ox = (2.0 / (width - 1), -1.0) if width > 1 else (0.0, 0.0)
+    sy, oy = (2.0 / (height - 1), -1.0) if height > 1 else (0.0, 0.0)
+    return np.array([[sx, 0.0, ox], [0.0, sy, oy], [0.0, 0.0, 1.0]])
 
 
 def normalize_homography(h_pix: np.ndarray, src_size, dst_size) -> np.ndarray:
@@ -197,16 +207,10 @@ def homography_warp(img, h, dsize=None, inverse_map: bool = False) -> Var:
     if img.ndim != 4:
         raise ShapeError(f"homography_warp expects NCHW input, got {img.shape}")
     h = _as_batched_mat3(h)
-    n, _, hi, wi = img.shape
+    hi, wi = img.shape[2:]
     ho, wo = dsize if dsize is not None else (hi, wi)
     m = h if inverse_map else mat3_inverse(h)
-    gx = np.linspace(-1.0, 1.0, wo) if wo > 1 else np.zeros(1)
-    gy = np.linspace(-1.0, 1.0, ho) if ho > 1 else np.zeros(1)
-    xs, ys = np.meshgrid(gx, gy)
-    nx, ny = _warp_coords(m, xs.ravel()[None], ys.ravel()[None], n)
-    if m.shape[0] == 1 and n > 1:
-        ones = np.ones((n, 1))
-        nx, ny = nx * ones, ny * ones
-    px = (nx + 1.0) * (0.5 * (wi - 1))
-    py = (ny + 1.0) * (0.5 * (hi - 1))
-    return sample_bilinear(img, px.reshape((n, ho, wo)), py.reshape((n, ho, wo)))
+    # output pixel -> output normalized -> (m) input normalized -> input pixel
+    sx, sy = 0.5 * (wi - 1), 0.5 * (hi - 1)
+    to_pix = np.array([[sx, 0.0, sx], [0.0, sy, sy], [0.0, 0.0, 1.0]])
+    return _warp(img, matmul(matmul(to_pix, m), normal_transform_pixel(ho, wo)), (ho, wo))

@@ -144,7 +144,8 @@ def sample_bilinear(x, px, py) -> Var:
     """Bilinear lookup of x (NCHW) at pixel coordinates px, py (N,Ho,Wo).
 
     Out-of-range corners contribute zero.  Differentiable w.r.t. x and both
-    coordinate fields.
+    coordinate fields.  The result and the image gradient have x's dtype;
+    each coordinate gradient has its field's dtype.
     """
     x = as_var(x)
     px = as_var(px)
@@ -181,11 +182,13 @@ def sample_bilinear(x, px, py) -> Var:
         corners.append((v, wgt, valid, idx))
         contrib = v * wgt[:, None, :]
         out = contrib if out is None else out + contrib
-    out = out.reshape(n, c, ho, wo)
+    # weights against int64 floors are float64: cast back to x's dtype
+    out = out.reshape(n, c, ho, wo).astype(x.dtype, copy=False)
     need_x = x._tape is not None or x.requires_grad
     need_g = (
         px._tape is not None or px.requires_grad or py._tape is not None or py.requires_grad
     )
+    x_dtype, px_dtype, py_dtype = x.dtype, px.dtype, py.dtype  # dtypes, never Vars (no cycles)
 
     def vjp(g):
         gp = g.reshape(n, c, -1)  # (N,C,P)
@@ -196,7 +199,7 @@ def sample_bilinear(x, px, py) -> Var:
             idx_all = np.concatenate([(idx[:, None] + offs).ravel() for _, _, _, idx in corners])
             g_all = np.concatenate([(gp * wgt[:, None, :]).ravel() for _, wgt, _, _ in corners])
             gx_img = np.bincount(idx_all, weights=g_all, minlength=n * c * h * w)
-            gx_img = gx_img.reshape(n, c, h, w).astype(g.dtype, copy=False)
+            gx_img = gx_img.reshape(n, c, h, w).astype(x_dtype, copy=False)
         gpx = gpy = None
         if need_g:
             vm = []
@@ -205,8 +208,8 @@ def sample_bilinear(x, px, py) -> Var:
             v00, v01, v10, v11 = vm
             dpx = wy0[:, None, :] * (v01 - v00) + wy1[:, None, :] * (v11 - v10)
             dpy = wx0[:, None, :] * (v10 - v00) + wx1[:, None, :] * (v11 - v01)
-            gpx = (gp * dpx).sum(axis=1).reshape(n, ho, wo)
-            gpy = (gp * dpy).sum(axis=1).reshape(n, ho, wo)
+            gpx = (gp * dpx).sum(axis=1).reshape(n, ho, wo).astype(px_dtype, copy=False)
+            gpy = (gp * dpy).sum(axis=1).reshape(n, ho, wo).astype(py_dtype, copy=False)
         return (gx_img, gpx, gpy)
 
     return _record(out, (x, px, py), vjp)

@@ -646,10 +646,13 @@ def matmul(a, b) -> Var:
     x, y = av.data, bv.data
     out = x @ y
     sa, sb = av.shape, bv.shape
+    need_a = av.requires_grad or av._tape is not None
+    need_b = bv.requires_grad or bv._tape is not None
 
     def vjp(g):
-        gx = g @ np.swapaxes(y, -1, -2)
-        gy = np.swapaxes(x, -1, -2) @ g
-        return (_unbroadcast(gx, sa), _unbroadcast(gy, sb))
+        # an untracked operand (a constant grid or matrix) gets no product
+        gx = _unbroadcast(g @ np.swapaxes(y, -1, -2), sa) if need_a else None
+        gy = _unbroadcast(np.swapaxes(x, -1, -2) @ g, sb) if need_b else None
+        return (gx, gy)
 
     return _record(out, (av, bv), vjp)

@@ -10,7 +10,9 @@ from gradcv import features
 from gradcv.demos import RunConfig, attack, estimate_depth, register, run_bench, synthetic
 from gradcv.demos.attack import count_target_consistent_matches
 from gradcv.demos.bench import write_bench_csv
+from gradcv.demos.config import make_optimizer
 from gradcv.geometry import transform_points
+from gradcv.optim import Adam, SgdMomentum
 
 
 def test_config_validation():
@@ -180,6 +182,32 @@ def test_attack_refresh_shares_one_detached_pyramid_per_image(monkeypatch):
     img_a, img_b, h = _attack_inputs(seed=12)
     attack(img_a, img_b, h, RunConfig(iters=1, levels=3, lr=3e-3, max_keypoints=60, seed=0))
     assert len(calls) == 10
+
+
+def test_attack_honours_config_optimizer(monkeypatch):
+    steps = []
+
+    def counted(step):
+        def wrapper(self, grads):
+            steps.append(type(self))
+            return step(self, grads)
+
+        return wrapper
+
+    for cls in (Adam, SgdMomentum):
+        monkeypatch.setattr(cls, "step", counted(cls.step))
+    img_a, img_b, h = _attack_inputs(seed=12)
+    cfg = RunConfig(iters=2, levels=3, lr=3e-3, max_keypoints=60, optimizer="sgd_momentum")
+    attack(img_a, img_b, h, cfg)
+    assert steps == [SgdMomentum] * 2
+
+
+def test_make_optimizer_follows_config():
+    p = g.Var(np.zeros(2), requires_grad=True)
+    adam = make_optimizer(RunConfig(lr=0.5), [p])
+    sgd = make_optimizer(RunConfig(lr=0.5, optimizer="sgd_momentum", momentum=0.7), [p])
+    assert type(adam) is Adam and adam.lr == 0.5
+    assert type(sgd) is SgdMomentum and (sgd.lr, sgd.momentum) == (0.5, 0.7)
 
 
 def test_count_metric_identical_images_identity_h():

@@ -356,3 +356,119 @@ def test_warp_perspective_gradcheck_image_and_h(seed):
     h = np.eye(3) + rng.normal(scale=0.01, size=(3, 3))
     h[2, 2] = 1.0
     gradcheck(lambda im, m: (geo.warp_perspective(im, m) ** 2.0).mean(), [img, h])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_homography_warp_inverse_map_gradcheck_image_and_map(seed):
+    # registration's path: a normalized output -> input map, no inverse
+    rng = np.random.default_rng(40 + seed)
+    img = gaussian_blur2d(g.Var(rng.random((1, 1, 8, 9))), (5, 5), (1.0, 1.0)).data
+    m = np.eye(3) + rng.normal(scale=0.02, size=(3, 3))
+    m[2, 2] = 1.0
+    loss = lambda im, mm: (geo.homography_warp(im, mm, inverse_map=True) ** 2.0).mean()
+    gradcheck(loss, [img, m])
+
+
+# --- the warps against their former per-entry formulas ---------------------------
+
+
+def _ref_coords(m, xs, ys):
+    """Back-project constant output coords through (N,3,3) m, one entry at a time."""
+    xs_v, ys_v = g.Var(xs), g.Var(ys)
+    e = lambda i, j: m[:, i, j].reshape((-1, 1))
+    denom = e(2, 0) * xs_v + e(2, 1) * ys_v + e(2, 2)
+    ok = np.abs(denom.data) > 1e-12
+    if not ok.all():
+        denom = g.where(ok, denom, 1.0)
+    sx = (e(0, 0) * xs_v + e(0, 1) * ys_v + e(0, 2)) / denom
+    sy = (e(1, 0) * xs_v + e(1, 1) * ys_v + e(1, 2)) / denom
+    if not ok.all():
+        sx, sy = g.where(ok, sx, -1e9), g.where(ok, sy, -1e9)
+    return sx, sy
+
+
+def _ref_sample(img, sx, sy, shared, ho, wo):
+    n = img.shape[0]
+    if shared and n > 1:
+        sx, sy = sx * np.ones((n, 1)), sy * np.ones((n, 1))
+    return g.sample_bilinear(img, sx.reshape((n, ho, wo)), sy.reshape((n, ho, wo)))
+
+
+def _ref_warp_perspective(img, h, dsize):
+    h_inv = geo.mat3_inverse(h)
+    ho, wo = dsize
+    xs, ys = np.meshgrid(np.arange(wo, dtype=img.dtype), np.arange(ho, dtype=img.dtype))
+    sx, sy = _ref_coords(h_inv, xs.ravel()[None], ys.ravel()[None])
+    return _ref_sample(img, sx, sy, h_inv.shape[0] == 1, ho, wo)
+
+
+def _ref_homography_warp(img, h, dsize, inverse_map):
+    hi, wi = img.shape[2:]
+    ho, wo = dsize
+    m = h if inverse_map else geo.mat3_inverse(h)
+    gx = np.linspace(-1.0, 1.0, wo) if wo > 1 else np.zeros(1)
+    gy = np.linspace(-1.0, 1.0, ho) if ho > 1 else np.zeros(1)
+    xs, ys = np.meshgrid(gx, gy)
+    nx, ny = _ref_coords(m, xs.ravel()[None], ys.ravel()[None])
+    nx, ny = (nx + 1.0) * (0.5 * (wi - 1)), (ny + 1.0) * (0.5 * (hi - 1))
+    return _ref_sample(img, nx, ny, m.shape[0] == 1, ho, wo)
+
+
+def _near_identity(rng, n, scale):
+    m = np.eye(3) + rng.normal(scale=scale, size=(n, 3, 3))
+    m[:, 2, 2] = 1.0
+    return m
+
+
+# output -> input maps with w = 0 on one output pixel column: x = 3 in pixel
+# coordinates, x = -1 (the first column) in normalized coordinates
+_COLUMN_TO_INFINITY = {
+    "pixel": np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, -3.0]]),
+    "normalized": np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 1.0]]),
+}
+
+
+@pytest.mark.parametrize(
+    "case", ["dsize_1xW", "dsize_Hx1", "dsize_5x7", "shared_map_N2", "per_sample_N2", "infinity"]
+)
+@pytest.mark.parametrize("warp", ["perspective", "normalized", "normalized_inverse_map"])
+def test_warps_match_former_formulas(warp, case):
+    rng = np.random.default_rng(7)
+    n = 2 if case.endswith("N2") else 1
+    img = rng.random((n, 2, 6, 8))
+    dsize = {"dsize_1xW": (1, 9), "dsize_Hx1": (7, 1), "dsize_5x7": (5, 7)}.get(case, (6, 8))
+    scale = 0.002 if warp == "perspective" else 0.05
+    h = _near_identity(rng, 2 if case == "per_sample_N2" else 1, scale)
+    if case == "infinity":
+        h = _COLUMN_TO_INFINITY["pixel" if warp == "perspective" else "normalized"]
+        h = (h if warp == "normalized_inverse_map" else np.linalg.inv(h))[None]
+    if warp == "perspective":
+        new = lambda a, b: geo.warp_perspective(a, b, dsize)
+        ref = lambda a, b: _ref_warp_perspective(a, b, dsize)
+    else:
+        inverse_map = warp == "normalized_inverse_map"
+        new = lambda a, b: geo.homography_warp(a, b, dsize, inverse_map=inverse_map)
+        ref = lambda a, b: _ref_homography_warp(a, b, dsize, inverse_map)
+    cot = rng.normal(size=(n, 2) + dsize)
+    results = []
+    for fn in (new, ref):
+        a, b = g.Var(img, requires_grad=True), g.Var(h, requires_grad=True)
+        out = fn(a, b)
+        grads = g.backward((out * cot).sum())
+        results.append((out.data, grads[a].data, grads[b].data))
+    if case == "infinity":
+        assert (results[1][0] == 0.0).any()  # the case does reach the zero border
+    for got, want in zip(*results):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+def test_shared_map_equals_per_sample_copies():
+    rng = np.random.default_rng(8)
+    img = g.Var(rng.random((2, 1, 6, 8)))
+    m = _near_identity(rng, 1, 0.05)
+    shared = geo.homography_warp(img, m, inverse_map=True)
+    copies = geo.homography_warp(img, np.concatenate([m, m]), inverse_map=True)
+    assert np.array_equal(shared.data, copies.data)
+    with pytest.raises(g.ShapeError):
+        geo.homography_warp(g.Var(rng.random((3, 1, 6, 8))), np.concatenate([m, m]))

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 import gradcv as g
+from gradcv import geometry as geo
 from gradcv.filters import gaussian_blur2d, sobel_edges
 from gradcv.kernels import _pad_index
 from gradcv.losses import ssim_loss
@@ -118,6 +119,55 @@ def test_conv_path_keeps_float32(op):
     out = op(x)
     assert out.dtype == np.float32
     assert g.backward(out.sum())[x].dtype == np.float32
+
+
+_F32 = np.float32
+_H = np.array([[1.0, 0.1, 0.5], [0.0, 0.9, 0.2], [0.0, 0.0, 1.0]])
+_T_SRC = np.eye(4)
+_T_SRC[:3, 3] = [0.05, -0.03, 0.02]
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda t: g.sample_bilinear(
+            t, np.full((2, 4, 5), 3.3, _F32), np.full((2, 4, 5), 2.6, _F32)
+        ),
+        lambda t: g.upsample_bilinear(t, (13, 7)),
+        lambda t: g.grid_sample_bilinear(t, g.identity_grid(2, 5, 6, dtype=_F32) * _F32(0.9)),
+        lambda t: geo.warp_perspective(t, _H),
+        lambda t: geo.homography_warp(t, np.diag([0.9, 1.1, 1.0]), (4, 6), inverse_map=True),
+        lambda t: geo.depth_warp(
+            t,
+            np.full((2, 1, 9, 10), 2.0),
+            geo.make_camera(10.0, 10.0, 4.5, 4.0, _T_SRC, size=(9, 10)),
+            geo.make_camera(10.0, 10.0, 4.5, 4.0, size=(9, 10)),
+        ),
+    ],
+    ids=["sample_bilinear", "upsample_bilinear", "grid_sample_bilinear", "warp_perspective",
+         "homography_warp", "depth_warp"],
+)
+def test_sampling_path_keeps_float32(op):
+    x = g.Var(np.random.default_rng(13).random((2, 3, 9, 10)).astype(np.float32),
+              requires_grad=True)
+    out = op(x)
+    assert out.dtype == np.float32
+    assert g.backward(out.sum())[x].dtype == np.float32
+
+
+def test_sampling_gradients_keep_each_leaf_dtype():
+    # a float32 image with a float64 map: float32 out, each leaf its own dtype
+    img = g.Var(np.random.default_rng(14).random((1, 2, 8, 9)).astype(np.float32),
+                requires_grad=True)
+    h = g.Var(np.array([[1.0, 0.05, 0.3], [0.02, 1.0, -0.2], [1e-3, 0.0, 1.0]]), requires_grad=True)
+    out = geo.warp_perspective(img, h)
+    grads = g.backward((out * out).sum())
+    assert out.dtype == np.float32
+    assert grads[img].dtype == np.float32 and grads[h].dtype == np.float64
+    px = g.Var(np.full((1, 3, 4), 2.5, np.float32), requires_grad=True)
+    py = g.Var(np.full((1, 3, 4), 1.5), requires_grad=True)
+    grads = g.backward(g.sample_bilinear(img, px, py).sum())
+    assert grads[px].dtype == np.float32 and grads[py].dtype == np.float64
 
 
 # --- grid sampling ----------------------------------------------------------

@@ -1,8 +1,12 @@
 """Autodiff tape: backward semantics, elementwise suite, tie conventions."""
+import gc
+
 import numpy as np
 import pytest
 
 import gradcv as g
+from gradcv import geometry as geo
+from gradcv.demos import RunConfig, register, synthetic
 from gradcv.testing import gradcheck
 
 
@@ -210,3 +214,24 @@ def test_tensor_invariants():
         g.Tensor(np.zeros((0, 2)))
     with pytest.raises(g.ParameterError):
         g.Tensor(np.array(["a"]))
+
+
+def test_tapes_are_freed_without_the_cycle_collector():
+    # a vjp closure that holds a Var (which holds its tape, which holds the
+    # closure) makes a reference cycle that only gc.collect() would free
+    img = synthetic.smooth_texture(24, 24, seed=3)
+    rng = np.random.default_rng(15)
+    gc.collect()
+    gc.disable()
+    try:
+        register(img, img, RunConfig(levels=1, iters=2, lr=1e-3))
+        x = g.Var(rng.random((1, 2, 9, 10)), requires_grad=True)
+        h = g.Var(np.array([[1.0, 0.1, 0.5], [0.0, 0.9, 0.2], [1e-3, 0.0, 1.0]]),
+                  requires_grad=True)
+        loss = (geo.warp_perspective(x, h) ** 2.0).sum() + g.upsample_bilinear(x, (13, 7)).sum()
+        grads = g.backward(loss)
+        assert set(grads) == {x, h}
+        del loss, grads
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
