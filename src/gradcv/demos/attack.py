@@ -15,6 +15,10 @@ Detection is refreshed every `refresh_every` iterations: integer keypoint
 locations, the pair assignment, orientations, and hard-negative indices are
 constants between refreshes, while subpixel offsets (quadratic fits on the
 response maps) and descriptors are recomputed differentiably every step.
+At a refresh, `features.describe` on the detached pyramid gives the
+negative-mining descriptors and writes the dominant orientations onto the
+snapshot keypoints; the gradient pass reads them back as frozen constants.
+Both walk the pyramid levels through the same `features._per_level`.
 """
 from __future__ import annotations
 
@@ -26,10 +30,11 @@ import numpy as np
 from ..color import rgb_to_grayscale
 from ..errors import EstimationError, NoConsensusError, OptimizationError
 from ..features import (
-    Keypoint,
+    _in_keypoint_order,
+    _per_level,
+    describe,
     detect,
     detect_and_describe,
-    dominant_orientations,
     extract_patches_at,
     hessian_pyramid,
     match_mnn,
@@ -39,7 +44,7 @@ from ..features import (
 )
 from ..geometry.linalg import transform_points
 from ..imgio import save_image
-from ..tape import Var, as_var, backward, concat, mean, sqrt, stack
+from ..tape import Var, as_var, backward, mean, sqrt, stack
 from ..tensor import Tensor, as_array
 from .config import RunConfig, make_optimizer, write_trace_csv
 
@@ -97,70 +102,38 @@ def count_target_consistent_matches(img_a, img_b, h_target, config: RunConfig) -
     return len(matches), int((inliers & near_target).sum())
 
 
-@dataclass
-class _Detections:
-    keypoints: list  # Keypoint at full resolution
-    levels: np.ndarray  # per-kp pyramid level
-    base_y: np.ndarray  # integer locations in level coordinates
-    base_x: np.ndarray
-    thetas: np.ndarray  # frozen orientations
-    center_x: np.ndarray  # frozen subpixel centers (level coords) for patches
-    center_y: np.ndarray
-
-
-def _snapshot(pyramid: list, config: RunConfig) -> _Detections:
+def _snapshot(pyramid: list, config: RunConfig) -> list:
     kps = detect(pyramid[0].image, max_keypoints=config.max_keypoints, pyramid=pyramid)
     if not kps:
         raise EstimationError("no keypoints detected; cannot attack this image")
-    scale = np.array([2.0 ** k.level for k in kps])
-    xs = np.array([k.x for k in kps]) / scale
-    ys = np.array([k.y for k in kps]) / scale
-    det = _Detections(
-        keypoints=kps,
-        levels=np.array([k.level for k in kps]),
-        base_y=np.rint(ys).astype(np.int64),
-        base_x=np.rint(xs).astype(np.int64),
-        thetas=np.zeros(len(kps)),
-        center_x=xs,
-        center_y=ys,
-    )
-    return det
+    return kps
 
 
-def _forward(pyramid: list, det: _Detections, refresh_orientations: bool = False):
+def _forward(pyramid: list, keypoints: list):
     """Differentiable positions (M,2) at full resolution and descriptors
-    (M,128) for snapshot detections against the current image's pyramid.
+    (M,128) for snapshot keypoints against the current image's pyramid.
 
-    Orientations are computed once per refresh and reused between refreshes.
+    Positions are quadratic fits at the rounded snapshot locations;
+    descriptors use the snapshot's subpixel centers and frozen orientations.
     """
     pos_parts, desc_parts, order = [], [], []
-    for lvl, level in enumerate(pyramid):
-        sel = np.flatnonzero(det.levels == lvl)
-        if sel.size == 0:
-            continue
-        px, py = refine_positions(
-            level.response, det.base_y[sel], det.base_x[sel], clamp=False
-        )
+    for level, idx, xs, ys in _per_level(pyramid, keypoints):
+        px, py = refine_positions(level.response, np.rint(ys), np.rint(xs), clamp=False)
         pos_parts.append(stack([px, py], axis=1) * float(level.scale))
-        patches = extract_patches_at(level.image, det.center_x[sel], det.center_y[sel])
-        if refresh_orientations:
-            det.thetas[sel], _ = dominant_orientations(Var(patches.data))
-        desc_parts.append(sift_describe(patches, det.thetas[sel]))
-        order.extend(sel.tolist())
-    inv = np.argsort(np.array(order))
-    pos = (pos_parts[0] if len(pos_parts) == 1 else concat(pos_parts, axis=0))[inv]
-    desc = (desc_parts[0] if len(desc_parts) == 1 else concat(desc_parts, axis=0))[inv]
-    return pos, desc
+        thetas = np.array([keypoints[i].orientation for i in idx])
+        desc_parts.append(sift_describe(extract_patches_at(level.image, xs, ys), thetas))
+        order.append(idx)
+    return _in_keypoint_order(pos_parts, order), _in_keypoint_order(desc_parts, order)
 
 
-def _assign_pairs(det_a: _Detections, det_b: _Detections, h_target: np.ndarray):
+def _assign_pairs(kps_a: list, kps_b: list, h_target: np.ndarray):
     """For each a-keypoint, the closest H-reprojected b-keypoint.
 
     Pairs beyond _PAIR_RADIUS are dropped (far pairs cannot converge and
     would dominate L_loc); if too few remain, the closest _MIN_PAIRS stay.
     """
-    pa = np.array([[k.x, k.y] for k in det_a.keypoints])
-    pb = np.array([[k.x, k.y] for k in det_b.keypoints])
+    pa = np.array([[k.x, k.y] for k in kps_a])
+    pb = np.array([[k.x, k.y] for k in kps_b])
     proj = transform_points(h_target, pb).data
     d2 = ((pa[:, None, :] - proj[None, :, :]) ** 2).sum(axis=2)
     nearest = d2.argmin(axis=1)
@@ -210,27 +183,28 @@ def attack(img_a, img_b, h_target, config: RunConfig | None = None) -> AttackRes
 
     result = AttackResult(img_a=va.value, img_b=vb.value)
     result.pre_count = count_target_consistent_matches(va, vb, h_target, config)[1]
-    det_a = det_b = None
+    kps_a = kps_b = None
     ia = ib = ineg = None
     out_dir = config.ensure_out_dir()
 
     for it in range(config.iters):
         if it % config.refresh_every == 0:
-            # one detached pyramid per image serves detection and the negative-mining pass
+            # one detached pyramid per image serves detection and the negative-mining
+            # pass; describe freezes the orientations on the snapshot keypoints
             pyr_a = hessian_pyramid(va.detach(), levels)
             pyr_b = hessian_pyramid(vb.detach(), levels)
-            det_a = _snapshot(pyr_a, config)
-            det_b = _snapshot(pyr_b, config)
-            ia, ib = _assign_pairs(det_a, det_b, h_target)
-            _, desc_a0 = _forward(pyr_a, det_a, refresh_orientations=True)
-            _, desc_b0 = _forward(pyr_b, det_b, refresh_orientations=True)
+            kps_a = _snapshot(pyr_a, config)
+            kps_b = _snapshot(pyr_b, config)
+            ia, ib = _assign_pairs(kps_a, kps_b, h_target)
+            desc_a0 = describe(pyr_a[0].image, kps_a, pyramid=pyr_a)
+            desc_b0 = describe(pyr_b[0].image, kps_b, pyramid=pyr_b)
             ineg = _hard_negatives(desc_a0.data, desc_b0.data, ia, ib)
             if (it // config.refresh_every) % 3 == 0:
                 mutual, consistent = count_target_consistent_matches(va, vb, h_target, config)
                 result.match_trace.append((it, mutual, consistent))
 
-        pos_a, desc_a = _forward(hessian_pyramid(va, levels), det_a)
-        pos_b, desc_b = _forward(hessian_pyramid(vb, levels), det_b)
+        pos_a, desc_a = _forward(hessian_pyramid(va, levels), kps_a)
+        pos_b, desc_b = _forward(hessian_pyramid(vb, levels), kps_b)
         p1 = pos_a[ia]
         p2 = transform_points(h_target, pos_b[ib])
         diff = p1 - p2

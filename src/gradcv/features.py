@@ -8,6 +8,11 @@ nearest-neighbor matching -> RANSAC homography verification.
 Detection (integer NMS locations, orientation assignment, match indices) is
 discrete; responses, subpixel refinement, and descriptors are Var-valued, so
 gradients flow from descriptor/position losses back into image pixels.
+
+Keypoints are described level by level through one path: `_per_level` groups
+them by pyramid level with their centers in level pixels, and
+`_in_keypoint_order` restores their order.  `describe` and the feature-matching
+attack's gradient pass (`demos.attack`) both use it.
 """
 from __future__ import annotations
 
@@ -16,12 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EstimationError, NoConsensusError, ParameterError, ShapeError
+from .errors import EstimationError, NoConsensusError, ParameterError, ShapeError, UsageError
 from .filters import gaussian_blur2d, pyramid_down, spatial_gradient
 from .geometry.transforms import _dlt_system, _has_collinear_triple
 from .kernels import sample_bilinear
 from .tape import Var, _record, as_var, concat, sqrt, where
-from .tensor import as_array
+from .tensor import Tensor, as_array
 
 PATCH_SIZE = 32
 DESC_SPATIAL_BINS = 4
@@ -515,21 +520,24 @@ def ransac_homography(
 def extract_patches_at(img, xs, ys, size: int = PATCH_SIZE, spacing: float = 1.0) -> Var:
     """Bilinear patches (M,1,size,size) centered at subpixel (xs, ys).
 
-    Differentiable w.r.t. the image (and the centers when they are Vars).
+    Differentiable w.r.t. the image.  The centers are constants: a center
+    Var that requires a gradient or sits on a tape raises UsageError.
     """
     img = as_var(img)
     _require_gray(img, "extract_patches_at")
+    if any(isinstance(c, Var) and (c.requires_grad or c._tape is not None) for c in (xs, ys)):
+        raise UsageError("extract_patches_at takes constant centers; their gradient would be lost")
+    xs = as_array(xs, np.float64).reshape(-1, 1, 1)
+    ys = as_array(ys, np.float64).reshape(-1, 1, 1)
+    if xs.shape != ys.shape:
+        raise ShapeError(f"need as many x as y centers, got {len(xs)} and {len(ys)}")
+    m = len(xs)
     offs = (np.arange(size) - (size - 1) / 2.0) * spacing
     ox, oy = np.meshgrid(offs, offs)
-    xs_v, ys_v = as_var(xs), as_var(ys)
-    m = xs_v.size
-    px = xs_v.reshape((m, 1, 1)) + ox[None]
-    py = ys_v.reshape((m, 1, 1)) + oy[None]
-    # single big grid against the one-image batch
-    px = px.reshape((1, m * size, size))
-    py = py.reshape((1, m * size, size))
-    out = sample_bilinear(img, px, py)
-    return out.reshape((m, 1, size, size))
+    # single big grid against the one-image batch, wrapped without a copy
+    px = Var(Tensor._wrap((xs + ox).reshape(1, m * size, size)))
+    py = Var(Tensor._wrap((ys + oy).reshape(1, m * size, size)))
+    return sample_bilinear(img, px, py).reshape((m, 1, size, size))
 
 
 @dataclass
@@ -593,12 +601,31 @@ def detect(
     return kps[:max_keypoints]
 
 
+def _per_level(pyramid: list, keypoints: list):
+    """Yield (level, idx, xs, ys) for each pyramid level holding keypoints:
+    the indices of its keypoints and their centers in the level's pixels."""
+    on_level = np.array([k.level for k in keypoints])
+    xy = np.array([(k.x, k.y) for k in keypoints])
+    for lvl, level in enumerate(pyramid):
+        idx = np.flatnonzero(on_level == lvl)
+        if idx.size:
+            yield level, idx, xy[idx, 0] / level.scale, xy[idx, 1] / level.scale
+
+
+def _in_keypoint_order(parts: list, order: list) -> Var:
+    """Concatenate per-level rows (parts[j] belongs to indices order[j]) and
+    put them back in keypoint order."""
+    stacked = parts[0] if len(parts) == 1 else concat(parts, axis=0)
+    return stacked[np.argsort(np.concatenate(order))]
+
+
 def describe(img, keypoints, pyramid=None) -> Var:
-    """SIFT descriptors (M,128) for detected keypoints.
+    """SIFT descriptors (M,128) for detected keypoints, in keypoint order.
 
     Patches are sampled on the keypoint's pyramid level at 1px spacing, so
     descriptor support scales with detection scale.  Differentiable w.r.t.
-    the image; assigns each keypoint's dominant orientation in place.
+    the image; assigns each keypoint's dominant orientation in place (the
+    orientation histogram is detection machinery and carries no gradient).
     Raises ParameterError when a keypoint's level is not in the pyramid.
     """
     if not keypoints:
@@ -608,23 +635,15 @@ def describe(img, keypoints, pyramid=None) -> Var:
     missing = sorted({k.level for k in keypoints} - set(range(len(pyramid))))
     if missing:
         raise ParameterError(f"keypoint levels {missing} are not in the {len(pyramid)}-level pyramid")
-    parts = []
-    order = []
-    for lvl, level in enumerate(pyramid):
-        sel = [i for i, k in enumerate(keypoints) if k.level == lvl]
-        if not sel:
-            continue
-        xs = np.array([keypoints[i].x for i in sel]) / level.scale
-        ys = np.array([keypoints[i].y for i in sel]) / level.scale
+    parts, order = [], []
+    for level, idx, xs, ys in _per_level(pyramid, keypoints):
         patches = extract_patches_at(level.image, xs, ys)
         thetas, _ = dominant_orientations(Var(patches.data))
-        for i, th in zip(sel, thetas):
-            keypoints[i].orientation = float(th)
+        for i, th in zip(idx, thetas.tolist()):
+            keypoints[i].orientation = th
         parts.append(sift_describe(patches, thetas))
-        order.extend(sel)
-    stacked = parts[0] if len(parts) == 1 else concat(parts, axis=0)
-    inv = np.argsort(np.array(order))
-    return stacked[inv]
+        order.append(idx)
+    return _in_keypoint_order(parts, order)
 
 
 def detect_and_describe(

@@ -183,17 +183,31 @@ def normal_transform_pixel(height: int, width: int) -> np.ndarray:
     return np.array([[sx, 0.0, ox], [0.0, sy, oy], [0.0, 0.0, 1.0]])
 
 
+def _normal_to_pixel(size, who: str) -> np.ndarray:
+    """Inverse of :func:`normal_transform_pixel`; a 1-pixel extent maps every
+    coordinate to normalized 0 and has none."""
+    height, width = size
+    if min(height, width) < 2:
+        raise ParameterError(f"{who} needs extents of at least 2 pixels, got {height}x{width}")
+    return np.linalg.inv(normal_transform_pixel(height, width))
+
+
 def normalize_homography(h_pix: np.ndarray, src_size, dst_size) -> np.ndarray:
-    """Pixel-coordinate homography -> normalized-coordinate homography."""
-    n_src = normal_transform_pixel(*src_size)
+    """Pixel-coordinate homography -> normalized-coordinate homography.
+
+    Raises ParameterError for a 1-pixel extent in src_size.
+    """
     n_dst = normal_transform_pixel(*dst_size)
-    return n_dst @ as_array(h_pix, np.float64) @ np.linalg.inv(n_src)
+    return n_dst @ as_array(h_pix, np.float64) @ _normal_to_pixel(src_size, "normalize_homography")
 
 
 def denormalize_homography(h_norm: np.ndarray, src_size, dst_size) -> np.ndarray:
+    """Normalized-coordinate homography -> pixel-coordinate homography.
+
+    Raises ParameterError for a 1-pixel extent in dst_size.
+    """
     n_src = normal_transform_pixel(*src_size)
-    n_dst = normal_transform_pixel(*dst_size)
-    return np.linalg.inv(n_dst) @ as_array(h_norm, np.float64) @ n_src
+    return _normal_to_pixel(dst_size, "denormalize_homography") @ as_array(h_norm, np.float64) @ n_src
 
 
 def homography_warp(img, h, dsize=None, inverse_map: bool = False) -> Var:

@@ -184,6 +184,20 @@ def test_attack_refresh_shares_one_detached_pyramid_per_image(monkeypatch):
     assert len(calls) == 10
 
 
+def test_attack_gradient_pass_describes_like_describe():
+    # at a refresh, the gradient pass on the detached pyramid must reproduce
+    # the negative-mining descriptors that describe gives the same snapshot
+    attack_module = importlib.import_module("gradcv.demos.attack")
+    img_a, _, _ = _attack_inputs(seed=12)
+    pyramid = features.hessian_pyramid(attack_module._to_gray(img_a).detach(), 3)
+    kps = attack_module._snapshot(pyramid, RunConfig(max_keypoints=60))
+    assert len({k.level for k in kps}) >= 2
+    desc = features.describe(pyramid[0].image, kps, pyramid=pyramid)
+    pos, desc_grad = attack_module._forward(pyramid, kps)
+    assert np.array_equal(desc_grad.data, desc.data)
+    assert pos.shape == (len(kps), 2)
+
+
 def test_attack_honours_config_optimizer(monkeypatch):
     steps = []
 

@@ -592,6 +592,72 @@ def test_describe_rejects_levels_missing_from_pyramid(levels):
         ft.describe(img, kps, pyramid=pyramid)
 
 
+def test_extract_patches_at_half_integer_centers_copy_the_window():
+    img = textured_image((48, 56), seed=21)
+    # a 32-pixel grid centered on c + 0.5 samples exactly the integers c - 15 .. c + 16
+    patches = ft.extract_patches_at(g.Var(img), np.array([20.5, 30.5]), np.array([24.5, 17.5]))
+    assert patches.shape == (2, 1, 32, 32)
+    assert np.array_equal(patches.data[0, 0], img[0, 0, 9:41, 5:37])
+    assert np.array_equal(patches.data[1, 0], img[0, 0, 2:34, 15:47])
+
+
+def test_extract_patches_at_gradcheck_wrt_image():
+    img = textured_image((12, 12), seed=22)
+    weights = np.random.default_rng(22).normal(size=(2, 1, 6, 6))
+    xs, ys = np.array([4.3, 6.7]), np.array([5.6, 6.2])
+    gradcheck(lambda v: (ft.extract_patches_at(v, xs, ys, size=6) * weights).sum(), [img])
+
+
+@pytest.mark.parametrize("track", [lambda c: g.Var(c, requires_grad=True), lambda c: g.Var(c, requires_grad=True) * 1.0])
+@pytest.mark.parametrize("which", [0, 1])
+def test_extract_patches_at_rejects_tracked_centers(track, which):
+    img = g.Var(textured_image((40, 40), seed=23))
+    centers = [np.array([19.3, 20.1]), np.array([18.6, 21.2])]
+    centers[which] = track(centers[which])
+    with pytest.raises(g.UsageError):
+        ft.extract_patches_at(img, *centers)
+    # constant Vars are plain data
+    patches = ft.extract_patches_at(img, g.Var(np.array([19.3, 20.1])), np.array([18.6, 21.2]))
+    assert patches.shape == (2, 1, 32, 32)
+
+
+def test_extract_patches_at_rejects_unequal_center_counts():
+    with pytest.raises(g.ShapeError):
+        ft.extract_patches_at(g.Var(textured_image((40, 40), seed=23)), np.array([19.3, 20.1]), np.array([18.6]))
+
+
+def _describe_level_by_level(pyramid, keypoints):
+    """Reference for describe: each level on its own, rows written back by index."""
+    desc = np.full((len(keypoints), 128), np.nan)
+    thetas = np.full(len(keypoints), np.nan)
+    for lvl, level in enumerate(pyramid):
+        sel = [i for i, k in enumerate(keypoints) if k.level == lvl]
+        if not sel:
+            continue
+        xs = np.array([keypoints[i].x for i in sel]) / level.scale
+        ys = np.array([keypoints[i].y for i in sel]) / level.scale
+        patches = ft.extract_patches_at(level.image, xs, ys)
+        theta, _ = ft.dominant_orientations(patches.data)
+        desc[sel] = ft.sift_describe(patches, theta).data
+        thetas[sel] = theta
+    return desc, thetas
+
+
+def test_describe_interleaved_levels_matches_level_by_level_reference():
+    img = g.Var(textured_image((128, 128), seed=17, sigma=1.5))
+    pyramid = ft.hessian_pyramid(img, levels=3)
+    kps = ft.detect(img, max_keypoints=80, pyramid=pyramid)
+    by_level = [[k for k in kps if k.level == lvl] for lvl in sorted({k.level for k in kps})]
+    assert len(by_level) >= 2
+    # round-robin over the levels, so neighbours in the list sit on different levels
+    kps = [k for i in range(max(map(len, by_level))) for group in by_level for k in group[i : i + 1]]
+    assert kps[0].level != kps[1].level
+    ref_desc, ref_thetas = _describe_level_by_level(pyramid, kps)
+    desc = ft.describe(img, kps, pyramid=pyramid)
+    assert np.array_equal(desc.data, ref_desc)
+    assert np.array_equal(np.array([k.orientation for k in kps]), ref_thetas)
+
+
 def test_translation_equivariant_matching():
     # image vs its 10px-shifted copy: matches displaced by (10,0) within 1px
     img = textured_image((96, 128), seed=18, sigma=1.0)

@@ -139,6 +139,13 @@ def test_homography_warp_matches_pixel_warp():
     assert np.abs(a.data - b.data).max() < 1e-9
 
 
+@pytest.mark.parametrize("fn", [geo.normalize_homography, geo.denormalize_homography])
+def test_homography_normalization_rejects_one_pixel_extent(fn):
+    # a 1-pixel extent maps to normalized 0, so its pixel map has no inverse
+    with pytest.raises(g.ParameterError, match="1x5"):
+        fn(np.eye(3), (1, 5), (1, 5))
+
+
 # --- conversions -----------------------------------------------------------------
 
 
