@@ -10,6 +10,7 @@ each level's solution seeds the next, finer level.
 from __future__ import annotations
 
 import os
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,9 +61,9 @@ def estimate_depth(views, config: RunConfig | None = None, ref_index: int = 0) -
     """Estimate the reference view's depth from >= 2 calibrated views.
 
     views: [(image 1xCxHxW, PinholeCamera), ...]; views[ref_index] is the
-    reference.  Identical camera poses make the warp depth-independent; that
-    degenerate setup is reported as a warning in the result trace semantics
-    (the optimization still runs but cannot constrain depth).
+    reference.  When every source view shares the reference pose the warp is
+    independent of depth: that setup emits a RuntimeWarning, and the
+    optimization still runs but cannot constrain depth.
     """
     config = config or RunConfig(levels=7, iters=500, lr=15.0, optimizer="sgd_momentum")
     imgs, cams = _check_views(views)
@@ -75,8 +76,6 @@ def estimate_depth(views, config: RunConfig | None = None, ref_index: int = 0) -
         np.abs(cam.extrinsics - ref_cam.extrinsics).max() < 1e-12 for _, cam in src
     )
     if degenerate:
-        import warnings
-
         warnings.warn(
             "all views share the reference pose: the photometric loss is "
             "independent of depth",

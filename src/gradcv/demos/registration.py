@@ -56,8 +56,8 @@ def register(img_src, img_dst, config: RunConfig | None = None) -> RegistrationR
     out_dir = config.ensure_out_dir()
     step = 0
     for level in range(config.levels - 1, -1, -1):
-        level_src = Var(pyr_src[min(level, len(pyr_src) - 1)].data)
-        level_dst = Var(pyr_dst[min(level, len(pyr_dst) - 1)].data)
+        level_src = pyr_src[min(level, len(pyr_src) - 1)]
+        level_dst = pyr_dst[min(level, len(pyr_dst) - 1)]
         opt = make_optimizer(config, [params])
         warped = None
         for _ in range(config.iters):

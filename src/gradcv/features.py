@@ -638,7 +638,7 @@ def describe(img, keypoints, pyramid=None) -> Var:
     parts, order = [], []
     for level, idx, xs, ys in _per_level(pyramid, keypoints):
         patches = extract_patches_at(level.image, xs, ys)
-        thetas, _ = dominant_orientations(Var(patches.data))
+        thetas, _ = dominant_orientations(patches.detach())
         for i, th in zip(idx, thetas.tolist()):
             keypoints[i].orientation = th
         parts.append(sift_describe(patches, thetas))

@@ -26,6 +26,8 @@ class PinholeCamera:
             raise ShapeError(f"K must be (3,3) and T (4,4), got {k.shape}/{t.shape}")
         if k[0, 0] <= 0 or k[1, 1] <= 0:
             raise ParameterError("focal lengths must be positive")
+        if k[0, 1] != 0 or k[1, 0] != 0 or not np.array_equal(k[2], [0.0, 0.0, 1.0]):
+            raise ParameterError(f"K must have zero skew and a last row (0, 0, 1), got\n{k}")
         r = t[:3, :3]
         if np.abs(r.T @ r - np.eye(3)).max() > 1e-9 or np.linalg.det(r) < 0:
             raise ParameterError("extrinsic rotation must be orthonormal with det +1")

@@ -1,29 +1,31 @@
 """Depth-map geometry: per-pixel unprojection, surface normals, and the
-calibrated depth warper (unproject with the reference depth, move into the
-source camera, project, bilinear-sample the source image).
+calibrated depth warper.
 
-The warp is differentiable w.r.t. both the reference depth and the source
-image; pixels that land behind or outside the source view sample zero.
+The warper is the planar warps' recipe with a depth-dependent map: a
+reference pixel (u, v) with depth d lands on the homogeneous source pixel
+d * (K_src R K_ref^-1 [u, v, 1]) + K_src t, with (R, t) the reference ->
+source pose.  Both terms are constant per pixel, so building the points
+takes one multiply and one add; the perspective divide and the bilinear
+lookup are the shared tail of `geometry.transforms`.  The warp is
+differentiable w.r.t. both the reference depth and the source image;
+pixels that land behind (z <= 1e-6) or outside the source view sample zero.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from ..errors import ShapeError
-from ..kernels import sample_bilinear
 from ..tape import Var, as_var, concat, sqrt, where
 from .camera import PinholeCamera
 from .linalg import inverse_transform
+from .transforms import _dehomogenize_and_sample, _pixel_grid
 
 _Z_EPS = 1e-6
 
 
 def _rays(cam: PinholeCamera, h: int, w: int) -> np.ndarray:
-    """Unit-depth ray directions (3, H*W) for every pixel center."""
-    us, vs = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
-    x = (us - cam.cx) / cam.fx
-    y = (vs - cam.cy) / cam.fy
-    return np.stack([x.ravel(), y.ravel(), np.ones(h * w)])
+    """Unit-depth ray directions K^-1 [u, v, 1], (3, H*W), for every pixel center."""
+    return inverse_transform(cam.k) @ _pixel_grid(h, w, np.float64)
 
 
 def depth_to_3d(depth, cam: PinholeCamera) -> Var:
@@ -74,20 +76,8 @@ def depth_warp(src_img, depth_ref, cam_src: PinholeCamera, cam_ref: PinholeCamer
     if depth_ref.ndim != 4 or depth_ref.shape[1] != 1:
         raise ShapeError(f"depth must be (N,1,H,W), got {depth_ref.shape}")
     n, _, h, w = depth_ref.shape
-    rays = _rays(cam_ref, h, w)  # (3,P) constants
     t_rel = cam_src.extrinsics @ inverse_transform(cam_ref.extrinsics)
-    r, t = t_rel[:3, :3], t_rel[:3, 3]
-
-    d = depth_ref.reshape((n, 1, h * w))
-    pts = d * rays[None]  # (N,3,P) reference-frame points
-    # rotate+translate into the source frame with constant coefficients
-    xs = r[0, 0] * pts[:, 0:1] + r[0, 1] * pts[:, 1:2] + r[0, 2] * pts[:, 2:3] + t[0]
-    ys = r[1, 0] * pts[:, 0:1] + r[1, 1] * pts[:, 1:2] + r[1, 2] * pts[:, 2:3] + t[1]
-    zs = r[2, 0] * pts[:, 0:1] + r[2, 1] * pts[:, 1:2] + r[2, 2] * pts[:, 2:3] + t[2]
-    in_front = zs.data > _Z_EPS
-    z_safe = where(in_front, zs, 1.0)
-    u = cam_src.fx * xs / z_safe + cam_src.cx
-    v = cam_src.fy * ys / z_safe + cam_src.cy
-    u = where(in_front, u, -1e9)
-    v = where(in_front, v, -1e9)
-    return sample_bilinear(src_img, u.reshape((n, h, w)), v.reshape((n, h, w)))
+    rays = cam_src.k @ t_rel[:3, :3] @ _rays(cam_ref, h, w)  # (3,P) K_src R K_ref^-1 [u,v,1]
+    offset = (cam_src.k @ t_rel[:3, 3])[:, None]  # (3,1) K_src t
+    p = depth_ref.reshape((n, 1, h * w)) * rays + offset  # (N,3,P) homogeneous source pixels
+    return _dehomogenize_and_sample(src_img, p, p.data[:, 2:] > _Z_EPS, (h, w))

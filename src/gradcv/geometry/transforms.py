@@ -6,12 +6,15 @@ coordinates; warps are inverse-sampling (each output pixel back-projects
 into the source), so outputs have no holes and warping is differentiable
 w.r.t. both the image and the transform.
 
-Every warp takes one path, `_warp`: a 3x3 map from output to input pixel
-coordinates, one matmul over the homogeneous output pixel grid, the
-perspective divide, and one `sample_bilinear`.  `warp_perspective` (and
-`warp_affine` through it) hands `_warp` the inverse homography;
-`homography_warp` wraps its normalized map between the constant
-pixel -> normalized and normalized -> pixel matrices.
+Every warp takes one path.  `_warp` maps the homogeneous output pixel grid
+(`_pixel_grid`) through a 3x3 output -> input matrix in one matmul;
+`warp_perspective` (and `warp_affine` through it) hands it the inverse
+homography, and `homography_warp` wraps its normalized map between the
+constant pixel -> normalized and normalized -> pixel matrices.  The
+homogeneous points then go through one tail, `_dehomogenize_and_sample`:
+the perspective divide, guarded by a caller's validity mask, and one
+`sample_bilinear`.  `geometry.depth.depth_warp` builds its homogeneous
+source pixels from the reference depth and ends in the same tail.
 """
 from __future__ import annotations
 
@@ -19,7 +22,7 @@ import numpy as np
 
 from ..errors import EstimationError, ParameterError, ShapeError
 from ..kernels import sample_bilinear
-from ..tape import Var, as_var, concat, matmul, stack, where
+from ..tape import Var, _record, as_var, concat, matmul, where
 from ..tensor import Tensor, as_array
 
 _DET_EPS = 1e-12
@@ -35,27 +38,17 @@ def _as_batched_mat3(h) -> Var:
 
 
 def mat3_inverse(h) -> Var:
-    """Differentiable batched 3x3 inverse via the adjugate formula."""
+    """Differentiable batched 3x3 inverse: one tape node whose vjp maps G to
+    -H^-T G H^-T.  Raises EstimationError when some |det H| < 1e-12; a NaN
+    matrix passes the check and inverts to NaN."""
     h = _as_batched_mat3(h)
-    m = [[h[:, i, j] for j in range(3)] for i in range(3)]
-    c00 = m[1][1] * m[2][2] - m[1][2] * m[2][1]
-    c01 = m[0][2] * m[2][1] - m[0][1] * m[2][2]
-    c02 = m[0][1] * m[1][2] - m[0][2] * m[1][1]
-    c10 = m[1][2] * m[2][0] - m[1][0] * m[2][2]
-    c11 = m[0][0] * m[2][2] - m[0][2] * m[2][0]
-    c12 = m[0][2] * m[1][0] - m[0][0] * m[1][2]
-    c20 = m[1][0] * m[2][1] - m[1][1] * m[2][0]
-    c21 = m[0][1] * m[2][0] - m[0][0] * m[2][1]
-    c22 = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    det = m[0][0] * c00 + m[0][1] * c10 + m[0][2] * c20
-    if np.any(np.abs(det.data) < _DET_EPS):
+    with np.errstate(invalid="ignore", over="ignore"):  # NaN or huge entries: no warning
+        det = np.linalg.det(h.data)
+    if np.any(np.abs(det) < _DET_EPS):
         raise EstimationError("singular 3x3 matrix (|det| < 1e-12)")
-    rows = [
-        stack([c00, c01, c02], axis=1),
-        stack([c10, c11, c12], axis=1),
-        stack([c20, c21, c22], axis=1),
-    ]
-    return stack(rows, axis=1) / det.reshape((-1, 1, 1))
+    inv = np.linalg.inv(h.data)
+    inv_t = np.swapaxes(inv, -1, -2)
+    return _record(inv, (h,), lambda g: (-(inv_t @ g @ inv_t),))
 
 
 _TRIPLES = np.array([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
@@ -110,33 +103,45 @@ def get_perspective_transform(src, dst) -> np.ndarray:
     return np.append(h, 1.0).reshape(3, 3)
 
 
+def _pixel_grid(h: int, w: int, dtype) -> np.ndarray:
+    """Homogeneous pixel coordinates (x, y, 1), (3, H*W) in row-major order."""
+    grid = np.ones((3, h, w), dtype=dtype)
+    grid[0], grid[1] = np.arange(w), np.arange(h)[:, None]
+    return grid.reshape(3, -1)
+
+
+def _dehomogenize_and_sample(img: Var, p: Var, ok: np.ndarray, dsize) -> Var:
+    """Sample img at the pixels (x/w, y/w) of homogeneous points p (N,3,H'W').
+
+    ok is the caller's constant mask (N,1,H'W') of points with a usable w;
+    the others are sent far outside the image and sample the zero border.
+    """
+    w = p[:, 2:]
+    degenerate = not ok.all()
+    if degenerate:
+        w = where(ok, w, 1.0)
+    xy = p[:, :2] / w
+    if degenerate:
+        xy = where(ok, xy, -1e9)
+    xy = xy.reshape((p.shape[0], 2) + tuple(dsize))
+    return sample_bilinear(img, xy[:, 0], xy[:, 1])
+
+
 def _warp(img: Var, m: Var, dsize) -> Var:
     """Sample img at m @ [x, y, 1] for every pixel (x, y) of a dsize output.
 
     m is (1|N,3,3) and maps output pixel coordinates to input pixel
-    coordinates: one matmul over the constant homogeneous pixel grid, the
-    perspective divide, then one bilinear lookup.
+    coordinates: one matmul over the constant homogeneous pixel grid, then
+    the shared divide-and-sample tail with the guard |w| > 1e-12.
     """
     n = img.shape[0]
     if m.shape[0] not in (1, n):
         raise ShapeError(f"{m.shape[0]} transforms for batch of {n}")
     if m.shape[0] != n:
         m = m * np.ones((n, 1, 1), m.dtype)  # one shared map for the whole batch
-    ho, wo = dsize
-    grid = np.ones((3, ho, wo), dtype=m.dtype)  # homogeneous (x, y, 1) per output pixel
-    grid[0], grid[1] = np.arange(wo), np.arange(ho)[:, None]
-    p = matmul(m, Var(Tensor._wrap(grid.reshape(3, -1))))  # (N,3,H'W'); the grid is not copied
-    w = p[:, 2:]
-    ok = np.abs(w.data) > _DET_EPS
-    degenerate = not ok.all()
-    if degenerate:
-        w = where(ok, w, 1.0)
-    xy = p[:, :2] / w
-    if degenerate:
-        # points mapped to infinity fall far outside -> zero-border samples
-        xy = where(ok, xy, -1e9)
-    xy = xy.reshape((n, 2, ho, wo))
-    return sample_bilinear(img, xy[:, 0], xy[:, 1])
+    grid = Tensor._wrap(_pixel_grid(*dsize, m.dtype))  # the grid is not copied
+    p = matmul(m, Var(grid))  # (N,3,H'W')
+    return _dehomogenize_and_sample(img, p, np.abs(p.data[:, 2:]) > _DET_EPS, dsize)
 
 
 def warp_perspective(img, h, dsize=None) -> Var:

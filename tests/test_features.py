@@ -626,6 +626,28 @@ def test_extract_patches_at_rejects_unequal_center_counts():
         ft.extract_patches_at(g.Var(textured_image((40, 40), seed=23)), np.array([19.3, 20.1]), np.array([18.6]))
 
 
+def test_describe_orients_the_extracted_patches_without_a_copy(monkeypatch):
+    extracted, oriented = [], []
+    extract, orient = ft.extract_patches_at, ft.dominant_orientations
+
+    def recording_extract(*args, **kwargs):
+        extracted.append(extract(*args, **kwargs))
+        return extracted[-1]
+
+    def recording_orient(patches):
+        oriented.append(patches)
+        return orient(patches)
+
+    monkeypatch.setattr(ft, "extract_patches_at", recording_extract)
+    monkeypatch.setattr(ft, "dominant_orientations", recording_orient)
+    img = g.Var(textured_image((96, 96), seed=16, sigma=1.0), requires_grad=True)
+    ft.describe(img, ft.detect(img, max_keypoints=20))
+    assert len(oriented) == len(extracted) >= 1
+    for patches, seen in zip(extracted, oriented):
+        assert seen._tape is None and not seen.requires_grad  # the graph is cut
+        assert np.shares_memory(seen.data, patches.data)
+
+
 def _describe_level_by_level(pyramid, keypoints):
     """Reference for describe: each level on its own, rows written back by index."""
     desc = np.full((len(keypoints), 128), np.nan)

@@ -286,6 +286,13 @@ def test_camera_validation():
         geo.make_camera(100, 100, 50, 50, bad)
     with pytest.raises(g.ParameterError):
         geo.make_camera(-1, 100, 50, 50)
+    k = geo.make_camera(100, 100, 50, 50).k
+    skewed, last_row = k.copy(), k.copy()
+    skewed[0, 1] = 0.5
+    last_row[2] = [0.0, 1e-3, 1.0]
+    for bad_k in (skewed, last_row):
+        with pytest.raises(g.ParameterError):
+            geo.PinholeCamera(bad_k, np.eye(4), 100, 100)
 
 
 def test_camera_file_roundtrip(tmp_path):
@@ -379,6 +386,20 @@ def test_homography_warp_inverse_map_gradcheck_image_and_map(seed):
 # --- the warps against their former per-entry formulas ---------------------------
 
 
+def _ref_mat3_inverse(h):
+    """The former adjugate inverse, one scalar tape node per cofactor term."""
+    h = g.as_var(h)
+    h = h.reshape((1, 3, 3)) if h.ndim == 2 else h
+    m = [[h[:, i, j] for j in range(3)] for i in range(3)]
+    cof = lambda a, b, c, d: m[a][b] * m[c][d] - m[a][d] * m[c][b]
+    c00, c01, c02 = cof(1, 1, 2, 2), cof(0, 2, 2, 1), cof(0, 1, 1, 2)
+    c10, c11, c12 = cof(1, 2, 2, 0), cof(0, 0, 2, 2), cof(0, 2, 1, 0)
+    c20, c21, c22 = cof(1, 0, 2, 1), cof(0, 1, 2, 0), cof(0, 0, 1, 1)
+    det = m[0][0] * c00 + m[0][1] * c10 + m[0][2] * c20
+    rows = [g.stack(r, axis=1) for r in ([c00, c01, c02], [c10, c11, c12], [c20, c21, c22])]
+    return g.stack(rows, axis=1) / det.reshape((-1, 1, 1))
+
+
 def _ref_coords(m, xs, ys):
     """Back-project constant output coords through (N,3,3) m, one entry at a time."""
     xs_v, ys_v = g.Var(xs), g.Var(ys)
@@ -402,7 +423,7 @@ def _ref_sample(img, sx, sy, shared, ho, wo):
 
 
 def _ref_warp_perspective(img, h, dsize):
-    h_inv = geo.mat3_inverse(h)
+    h_inv = _ref_mat3_inverse(h)
     ho, wo = dsize
     xs, ys = np.meshgrid(np.arange(wo, dtype=img.dtype), np.arange(ho, dtype=img.dtype))
     sx, sy = _ref_coords(h_inv, xs.ravel()[None], ys.ravel()[None])
@@ -412,7 +433,7 @@ def _ref_warp_perspective(img, h, dsize):
 def _ref_homography_warp(img, h, dsize, inverse_map):
     hi, wi = img.shape[2:]
     ho, wo = dsize
-    m = h if inverse_map else geo.mat3_inverse(h)
+    m = h if inverse_map else _ref_mat3_inverse(h)
     gx = np.linspace(-1.0, 1.0, wo) if wo > 1 else np.zeros(1)
     gy = np.linspace(-1.0, 1.0, ho) if ho > 1 else np.zeros(1)
     xs, ys = np.meshgrid(gx, gy)
@@ -479,3 +500,91 @@ def test_shared_map_equals_per_sample_copies():
     assert np.array_equal(shared.data, copies.data)
     with pytest.raises(g.ShapeError):
         geo.homography_warp(g.Var(rng.random((3, 1, 6, 8))), np.concatenate([m, m]))
+
+
+# --- depth_warp and mat3_inverse against their former formulas ------------------
+
+
+def _ref_depth_warp(src_img, depth_ref, cam_src, cam_ref):
+    """The former depth warp: per-row rotation, its own guards and divide."""
+    n, _, h, w = depth_ref.shape
+    us, vs = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
+    rays = np.stack([((us - cam_ref.cx) / cam_ref.fx).ravel(),
+                     ((vs - cam_ref.cy) / cam_ref.fy).ravel(), np.ones(h * w)])
+    t_rel = cam_src.extrinsics @ geo.inverse_transform(cam_ref.extrinsics)
+    r, t = t_rel[:3, :3], t_rel[:3, 3]
+    pts = depth_ref.reshape((n, 1, h * w)) * rays[None]
+    xs, ys, zs = (
+        r[i, 0] * pts[:, 0:1] + r[i, 1] * pts[:, 1:2] + r[i, 2] * pts[:, 2:3] + t[i]
+        for i in range(3)
+    )
+    in_front = zs.data > 1e-6
+    z_safe = g.where(in_front, zs, 1.0)
+    u = g.where(in_front, cam_src.fx * xs / z_safe + cam_src.cx, -1e9)
+    v = g.where(in_front, cam_src.fy * ys / z_safe + cam_src.cy, -1e9)
+    return g.sample_bilinear(src_img, u.reshape((n, h, w)), v.reshape((n, h, w)))
+
+
+def _assert_close(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.abs(got.astype(np.float64) - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+@pytest.mark.parametrize("case", ["rotated_N2_C3", "partly_behind", "float32_image"])
+def test_depth_warp_matches_former_formula(case):
+    rng = np.random.default_rng(50)
+    n, c = (2, 3) if case == "rotated_N2_C3" else (1, 2)
+    t_src = np.eye(4)
+    t_src[:3, :3] = geo.axis_angle_to_rotation_matrix(np.array([0.04, -0.03, 0.05]))
+    t_src[:3, 3] = [0.1, -0.05, -2.0 if case == "partly_behind" else 0.08]
+    cam_ref = geo.make_camera(12.0, 11.0, 5.5, 4.0, size=(9, 12))
+    cam_src = geo.make_camera(13.0, 12.5, 6.0, 4.5, t_src, size=(9, 12))
+    img = rng.random((n, c, 9, 12)).astype(np.float32 if case == "float32_image" else np.float64)
+    depth = rng.uniform(1.0, 3.0, (n, 1, 9, 12))
+    cot = rng.normal(size=(n, c, 9, 12))
+    results = []
+    for fn in (geo.depth_warp, _ref_depth_warp):
+        im, d = g.Var(img, requires_grad=True), g.Var(depth, requires_grad=True)
+        out = fn(im, d, cam_src, cam_ref)
+        grads = g.backward((out * cot).sum())
+        results.append((out.data, grads[im].data, grads[d].data))
+    if case == "partly_behind":  # the source camera sits about 2 units ahead
+        z_src = np.einsum("c,nchw->nhw", t_src[2, :3], geo.depth_to_3d(depth, cam_ref).data) + t_src[2, 3]
+        assert (z_src <= 1e-6).any() and (z_src > 1e-6).any()  # the guards run
+    for got, want in zip(*results):
+        _assert_close(got, want)
+
+
+def test_mat3_inverse_matches_adjugate_and_gradchecks():
+    rng = np.random.default_rng(51)
+    h = np.eye(3) + rng.normal(scale=0.3, size=(3, 3, 3))
+    cot = rng.normal(size=(3, 3, 3))
+    results = []
+    for fn in (geo.mat3_inverse, _ref_mat3_inverse):
+        hv = g.Var(h, requires_grad=True)
+        out = fn(hv)
+        results.append((out.data, g.backward((out * cot).sum())[hv].data))
+    for got, want in zip(*results):
+        _assert_close(got, want)
+    gradcheck(lambda m: (geo.mat3_inverse(m) * cot).sum(), [h])
+
+
+def test_mat3_inverse_of_nan_is_nan_without_warning():
+    # pytest turns warnings into errors, so a warning fails this test
+    assert np.isnan(geo.mat3_inverse(np.full((3, 3), np.nan)).data).all()
+
+
+def test_warps_record_at_most_eleven_tape_nodes():
+    rng = np.random.default_rng(52)
+    cam_ref = geo.make_camera(12.0, 11.0, 5.5, 4.0, size=(9, 12))
+    t_src = np.eye(4)
+    t_src[:3, 3] = [0.1, -0.05, 0.08]
+    cam_src = geo.make_camera(12.0, 11.0, 5.5, 4.0, t_src, size=(9, 12))
+    img = g.Var(rng.random((1, 2, 9, 12)))
+    depth = g.Var(rng.uniform(1.0, 3.0, (1, 1, 9, 12)), requires_grad=True)
+    h = g.Var(_near_identity(rng, 1, 0.002)[0], requires_grad=True)
+    for warp in (lambda: geo.depth_warp(img, depth, cam_src, cam_ref),
+                 lambda: geo.warp_perspective(img, h)):
+        out = warp()
+        assert len(out._tape) <= 11  # the leaf, the map, the divide-and-sample tail
+        g.backward(out.sum())
