@@ -14,7 +14,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ParameterError, ShapeError
 from .tape import Var, _record, as_var
-from .tensor import as_array
+from .tensor import Tensor
 
 BORDER_MODES = ("zero", "replicate", "reflect")
 _NP_PAD_MODES = {"zero": "constant", "replicate": "edge", "reflect": "symmetric"}
@@ -136,16 +136,23 @@ def conv2d(x, kernel, border: str = "reflect") -> Var:
 
 
 def _snap(p: np.ndarray) -> np.ndarray:
+    """Snap p, in place, to the integers within _SNAP_EPS."""
     r = np.rint(p)
-    return np.where(np.abs(p - r) <= _SNAP_EPS, r, p)
+    d = p - r
+    np.copyto(p, r, where=np.abs(d, out=d) <= _SNAP_EPS)
+    return p
 
 
 def sample_bilinear(x, px, py) -> Var:
     """Bilinear lookup of x (NCHW) at pixel coordinates px, py (N,Ho,Wo).
 
-    Out-of-range corners contribute zero.  Differentiable w.r.t. x and both
-    coordinate fields.  The result and the image gradient have x's dtype;
-    each coordinate gradient has its field's dtype.
+    x is read through a two-pixel zero border: corners outside the image
+    contribute zero, and coordinates are clipped to [-2, W] x [-2, H], so a
+    far or infinite point samples 0 with zero gradients.  A NaN coordinate
+    gives a NaN sample and NaN coordinate gradients, and adds nothing to the
+    image gradient; neither case emits a warning.  Differentiable w.r.t. x
+    and both coordinate fields.  The result and the image gradient have x's
+    dtype; each coordinate gradient has its field's dtype.
     """
     x = as_var(x)
     px = as_var(px)
@@ -155,64 +162,56 @@ def sample_bilinear(x, px, py) -> Var:
         raise ShapeError(f"coordinate fields must be (N,Ho,Wo), got {px.shape} / {py.shape}")
     n, c, h, w = x.shape
     ho, wo = px.shape[1:]
-    pxs = _snap(px.data.reshape(n, -1))
-    pys = _snap(py.data.reshape(n, -1))
-    x0 = np.floor(pxs).astype(np.int64)
-    y0 = np.floor(pys).astype(np.int64)
-    wx1 = pxs - x0
-    wy1 = pys - y0
-    wx0 = 1.0 - wx1
-    wy0 = 1.0 - wy1
-
-    flat = x.data.reshape(n, c, h * w)
-    corners = []
-    out = None
-    for dy, dx in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        cx = x0 + dx
-        cy = y0 + dy
-        valid = (cx >= 0) & (cx < w) & (cy >= 0) & (cy < h)
-        # min/max instead of np.clip: clip's dispatch is the hot-loop cost
-        cxc = np.minimum(np.maximum(cx, 0), w - 1)
-        cyc = np.minimum(np.maximum(cy, 0), h - 1)
-        idx = cyc * w + cxc
-        wgt = (wx1 if dx else wx0) * (wy1 if dy else wy0)
-        if not valid.all():
-            wgt = wgt * valid
-        v = np.take_along_axis(flat, idx[:, None, :], axis=2)  # (N,C,P)
-        corners.append((v, wgt, valid, idx))
-        contrib = v * wgt[:, None, :]
-        out = contrib if out is None else out + contrib
-    # weights against int64 floors are float64: cast back to x's dtype
-    out = out.reshape(n, c, ho, wo).astype(x.dtype, copy=False)
+    # clip before snapping (no inf - inf); the weights are float64 whatever the dtypes
+    cx = _snap(np.clip(px.data, -2.0, w, dtype=np.float64).reshape(n, 1, -1))
+    cy = _snap(np.clip(py.data, -2.0, h, dtype=np.float64).reshape(n, 1, -1))
+    x0, y0 = np.floor(cx), np.floor(cy)
+    wx, wy = np.subtract(cx, x0, out=cx), np.subtract(cy, y0, out=cy)  # in place
+    # one flat zero-bordered plane per (sample, channel), float64 like the weights
+    # so float32 corner differences are exact; a point's corners are base,
+    # base+1, base+W+4 and base+W+5, gathered by one take
+    wp = w + 4
+    base = y0 * wp + x0
+    if np.isnan(base.sum()):  # a NaN coordinate reads the border with NaN weights
+        nan = np.isnan(base)
+        base[nan] = -2 * wp - 2
+        wx[nan] = wy[nan] = np.nan
+    xp = np.zeros((n, c, h + 4, wp))
+    xp[:, :, 2:-2, 2:-2] = x.data
+    corners = np.array([0, 1, wp, wp + 1]) + (2 * wp + 2)
+    offs = np.arange(n * c).reshape(n, c, 1, 1) * ((h + 4) * wp) + corners[:, None]
+    idx = base.astype(np.int64)[:, :, None] + offs  # (N,C,4,P)
+    v = np.take(xp, idx).reshape(n, c, 2, 2, -1)  # [row, column] of each corner
+    d = v[:, :, :, 1]
+    d -= v[:, :, :, 0]  # in place: the top and bottom x-differences
+    rows = v[:, :, :, 0]
+    rows += d * wx[:, :, None]  # in place: the top and bottom interpolants
+    top, dy = rows[:, :, 0], rows[:, :, 1]
+    dy -= top  # in place: bottom minus top, the y-derivative
+    out = dy * wy
+    out += top
     need_x = x._tape is not None or x.requires_grad
-    need_g = (
-        px._tape is not None or px.requires_grad or py._tape is not None or py.requires_grad
-    )
+    need_g = any(p._tape is not None or p.requires_grad for p in (px, py))
     x_dtype, px_dtype, py_dtype = x.dtype, px.dtype, py.dtype  # dtypes, never Vars (no cycles)
 
     def vjp(g):
         gp = g.reshape(n, c, -1)  # (N,C,P)
-        gx_img = None
+        gx_img = gpx = gpy = None
         if need_x:
-            # one bin per (n, c, pixel); each bin sums its corners in order
-            offs = (np.arange(n * c) * (h * w)).reshape(n, c, 1)
-            idx_all = np.concatenate([(idx[:, None] + offs).ravel() for _, _, _, idx in corners])
-            g_all = np.concatenate([(gp * wgt[:, None, :]).ravel() for _, wgt, _, _ in corners])
-            gx_img = np.bincount(idx_all, weights=g_all, minlength=n * c * h * w)
-            gx_img = gx_img.reshape(n, c, h, w).astype(x_dtype, copy=False)
-        gpx = gpy = None
+            # one bin per padded pixel over the forward's index, then crop the border
+            ax, ay = 1.0 - wx, 1.0 - wy
+            w4 = np.stack([ax * ay, wx * ay, ax * wy, wx * wy], axis=2)  # (N,1,4,P)
+            gx_img = np.bincount(
+                idx.ravel(), (gp[:, :, None] * w4).ravel(), minlength=n * c * (h + 4) * wp
+            )
+            gx_img = gx_img.reshape(n, c, h + 4, wp)[:, :, 2:-2, 2:-2].astype(x_dtype, copy=False)
         if need_g:
-            vm = []
-            for v, _, valid, _ in corners:
-                vm.append(v if valid.all() else v * valid[:, None, :])
-            v00, v01, v10, v11 = vm
-            dpx = wy0[:, None, :] * (v01 - v00) + wy1[:, None, :] * (v11 - v10)
-            dpy = wx0[:, None, :] * (v10 - v00) + wx1[:, None, :] * (v11 - v01)
+            dpx = d[:, :, 0] + (d[:, :, 1] - d[:, :, 0]) * wy
             gpx = (gp * dpx).sum(axis=1).reshape(n, ho, wo).astype(px_dtype, copy=False)
-            gpy = (gp * dpy).sum(axis=1).reshape(n, ho, wo).astype(py_dtype, copy=False)
+            gpy = (gp * dy).sum(axis=1).reshape(n, ho, wo).astype(py_dtype, copy=False)
         return (gx_img, gpx, gpy)
 
-    return _record(out, (x, px, py), vjp)
+    return _record(out.reshape(n, c, ho, wo).astype(x.dtype, copy=False), (x, px, py), vjp)
 
 
 def grid_sample_bilinear(x, grid) -> Var:
@@ -256,8 +255,9 @@ def upsample_bilinear(x, size: Tuple[int, int]) -> Var:
         jy = np.arange(ho, dtype=x.dtype) * ((h - 1) / (ho - 1))
     else:
         jy = np.zeros(1, dtype=x.dtype)
-    px = np.broadcast_to(jx[None, None, :], (n, ho, wo)).copy()
-    py = np.broadcast_to(jy[None, :, None], (n, ho, wo)).copy()
+    # fresh grids, wrapped without the copy a Var of a plain array makes
+    px = Var(Tensor._wrap(np.broadcast_to(jx[None, None, :], (n, ho, wo)).copy()))
+    py = Var(Tensor._wrap(np.broadcast_to(jy[None, :, None], (n, ho, wo)).copy()))
     return sample_bilinear(x, px, py)
 
 

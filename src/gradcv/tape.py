@@ -320,7 +320,8 @@ def backward(loss: Var) -> dict:
         g = grads[nid]
         if g is None:
             g = np.zeros_like(leaf.data)
-        g = np.ascontiguousarray(g).reshape(leaf.data.shape)
+        # a gradient comes back in its leaf's dtype (free when they already match)
+        g = np.ascontiguousarray(g).reshape(leaf.data.shape).astype(leaf.dtype, copy=False)
         out[leaf] = Tensor._wrap(g)
     return out
 

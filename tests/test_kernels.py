@@ -1,4 +1,6 @@
 """Primitive image kernels vs hand oracles and finite differences."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -231,6 +233,115 @@ def test_upsample_bilinear_linear_ramp_exact():
     out = g.upsample_bilinear(g.Var(np.broadcast_to(x, (1, 1, 3, 4)).copy()), (5, 7))
     expect = np.linspace(0.0, 1.0, 7)
     assert np.allclose(out.data[0, 0, 2], expect, atol=1e-12)
+
+
+# --- sample_bilinear against the former four-corner op ----------------------
+
+
+def _four_corner_sample(x, px, py, gout):
+    """The former sample_bilinear (reference): four masked corner gathers from
+    clamped indices.  Returns the output and the image, px and py gradients
+    for an output gradient gout, all in float64."""
+    n, c, h, w = x.shape
+    pxs, pys = (np.where(np.abs(p - np.rint(p)) <= 1e-8, np.rint(p), p)
+                for p in (px.reshape(n, -1), py.reshape(n, -1)))
+    x0, y0 = np.floor(pxs).astype(np.int64), np.floor(pys).astype(np.int64)
+    wx1, wy1 = pxs - x0, pys - y0
+    flat = x.reshape(n, c, h * w)
+    gp = gout.reshape(n, c, -1)
+    offs = (np.arange(n * c) * (h * w)).reshape(n, c, 1)
+    out, gx, vm = 0.0, np.zeros(x.size), []
+    for dy, dx in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        cx, cy = x0 + dx, y0 + dy
+        valid = (cx >= 0) & (cx < w) & (cy >= 0) & (cy < h)
+        idx = np.clip(cy, 0, h - 1) * w + np.clip(cx, 0, w - 1)
+        wgt = (wx1 if dx else 1.0 - wx1) * (wy1 if dy else 1.0 - wy1) * valid
+        v = np.take_along_axis(flat, idx[:, None, :], axis=2) * valid[:, None, :]
+        out = out + v * wgt[:, None, :]
+        np.add.at(gx, (idx[:, None] + offs).ravel(), (gp * wgt[:, None, :]).ravel())
+        vm.append(v)
+    v00, v01, v10, v11 = vm
+    dpx = (1.0 - wy1)[:, None] * (v01 - v00) + wy1[:, None] * (v11 - v10)
+    dpy = (1.0 - wx1)[:, None] * (v10 - v00) + wx1[:, None] * (v11 - v01)
+    return (
+        out.reshape(gout.shape),
+        gx.reshape(x.shape),
+        (gp * dpx).sum(axis=1).reshape(px.shape),
+        (gp * dpy).sum(axis=1).reshape(py.shape),
+    )
+
+
+def _sampling_case(name):
+    """(image, px, py) for one comparison case; images are 5x6 unless noted."""
+    rng = np.random.default_rng(sum(map(ord, name)))
+    h, w = 5, 6
+    img = rng.normal(size=(1, 1, h, w))
+    if name == "in_range":
+        px, py = rng.uniform(0, w - 1, (2, 1, 4, 7))
+    elif name == "borders":
+        # points straddling or crossing each border, then random ones around the image
+        edge = np.array([-1.6, -0.7, -0.2, w - 1.3, w - 0.5, w + 0.4, w + 1.5])
+        inner = rng.uniform(0.2, 3.8, edge.size)
+        px = np.concatenate([edge, inner, rng.uniform(-2.5, w + 1.5, 7)])[None, None]
+        py = np.concatenate([inner, edge - w + h, rng.uniform(-2.5, h + 1.5, 7)])[None, None]
+    elif name == "on_edges":
+        xs, ys = np.meshgrid([-1.0, 0.0, 2.5, w - 1.0, w], [-1.0, 0.0, 1.5, h - 1.0, h])
+        px, py = xs[None], ys[None]
+    elif name == "far":
+        # -1e9 is where the warp tail sends points with an unusable w
+        px = np.array([[[-1e9, 2.5, 1e9, -1e9, 3.2, 4.0]]])
+        py = np.array([[[1.5, -1e9, 2.2, -1e9, 1e9, 0.5]]])
+    elif name == "batch_channels":
+        img = rng.normal(size=(2, 3, h, w))
+        px, py = rng.uniform(-1.5, w + 0.5, (2, 2, 3, 8))
+    elif name == "float32":
+        img = img.astype(np.float32)
+        px, py = rng.uniform(-1.5, w + 0.5, (2, 1, 3, 8)).astype(np.float32)
+    else:  # near_integer: within _SNAP_EPS of an integer, on both sides
+        k = rng.integers(-1, 6, (2, 1, 3, 6)).astype(np.float64)
+        px, py = k + rng.choice([-5e-9, 0.0, 5e-9, 0.25], size=k.shape)
+    return img, px, py
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["in_range", "borders", "on_edges", "far", "batch_channels", "float32", "near_integer"],
+)
+def test_sample_bilinear_matches_four_corner_reference(name):
+    img, px, py = _sampling_case(name)
+    gout = np.random.default_rng(7).normal(size=img.shape[:2] + px.shape[1:])
+    xv, pxv, pyv = (g.Var(a, requires_grad=True) for a in (img, px, py))
+    out = g.sample_bilinear(xv, pxv, pyv)
+    grads = g.backward((out * gout).sum())
+    got = (out.data, grads[xv].data, grads[pxv].data, grads[pyv].data)
+    # the reference runs in float64 on the same values, and its results are cast
+    # to the dtype contract; the former op took float32 images' corner
+    # differences in float32, which moved coordinate gradients by up to 6e-8
+    ref = _four_corner_sample(*(a.astype(np.float64) for a in (img, px, py)), gout)
+    for a, b, dtype in zip(got, ref, (img.dtype, img.dtype, px.dtype, py.dtype)):
+        assert a.dtype == dtype and a.shape == b.shape
+        b = b.astype(dtype).astype(np.float64)
+        assert np.abs(a - b).max() <= 1e-12 * max(np.abs(b).max(), 1.0)
+
+
+def test_sample_bilinear_non_finite_coordinates():
+    # NaN gives NaN with NaN coordinate gradients; +-inf reads the zero border
+    img = g.Var(np.random.default_rng(3).random((1, 2, 5, 6)), requires_grad=True)
+    px = g.Var([[[np.nan, np.inf, -np.inf, 2.5, 1.5, np.nan, 2.5]]], requires_grad=True)
+    py = g.Var([[[1.5, 2.0, 2.0, -np.inf, np.nan, np.nan, 1.5]]], requires_grad=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = g.sample_bilinear(img, px, py)
+        grads = g.backward(out.sum())
+    nan = np.array([True, False, False, False, True, True, False])
+    assert np.isnan(out.data[0, :, 0]).all(axis=0).tolist() == nan.tolist()
+    assert np.all(out.data[0, :, 0, 1:4] == 0.0) and np.isfinite(out.data[0, :, 0, 6]).all()
+    for v in (px, py):
+        assert np.isnan(grads[v].data[0, 0]).tolist() == nan.tolist()
+        assert np.all(grads[v].data[0, 0, 1:4] == 0.0)
+    # the image gradient is finite; it is the finite sample's alone
+    alone = g.backward(g.sample_bilinear(img, [[[2.5]]], [[[1.5]]]).sum())[img].data
+    assert np.array_equal(grads[img].data, alone)
 
 
 # --- extract_patches --------------------------------------------------------

@@ -144,6 +144,17 @@ def test_float32_stays_float32_with_python_scalars():
     assert y.dtype == np.float32
 
 
+def test_leaf_gradient_keeps_leaf_dtype():
+    # a float64 constant promotes the product, but the float32 leaf's gradient
+    # comes back float32; a float64 leaf's gradient is unchanged
+    v32 = g.Var(np.full((2, 3), 0.5, dtype=np.float32), requires_grad=True)
+    v64 = g.Var(np.full((2, 3), 0.5), requires_grad=True)
+    grads = g.backward(g.mean(v32 * g.Var(np.ones((2, 3))) + v64 * 3.0))
+    assert grads[v32].dtype == np.float32 and grads[v64].dtype == np.float64
+    assert np.array_equal(grads[v32].data, np.full((2, 3), 1 / 6, dtype=np.float32))
+    assert np.array_equal(grads[v64].data, np.full((2, 3), 3.0 * (1.0 / 6)))
+
+
 RNG = np.random.default_rng(20240811)
 
 
