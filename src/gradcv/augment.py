@@ -20,7 +20,6 @@ from . import color
 from .errors import ParameterError, ShapeError
 from .geometry.transforms import get_rotation_matrix2d, warp_affine, warp_perspective
 from .tape import Var, as_var, concat, where
-from .tensor import Tensor
 
 
 class Rng:
@@ -44,7 +43,7 @@ class Rng:
 @dataclass
 class AugResult:
     output: Var  # transformed batch (N,C,H,W)
-    transform: Tensor  # per-sample pixel-coordinate matrices (N,3,3)
+    transform: Var  # constant per-sample pixel-coordinate matrices (N,3,3)
     params: dict = field(default_factory=dict)
 
 
@@ -82,7 +81,7 @@ class RandomHFlip:
         t = _identity_transforms(n)
         t[flip, 0, 0] = -1.0
         t[flip, 0, 2] = w - 1.0
-        return AugResult(out, Tensor(t), {"flipped": flip})
+        return AugResult(out, Var(t), {"flipped": flip})
 
 
 class RandomVFlip:
@@ -102,7 +101,7 @@ class RandomVFlip:
         t = _identity_transforms(n)
         t[flip, 1, 1] = -1.0
         t[flip, 1, 2] = h - 1.0
-        return AugResult(out, Tensor(t), {"flipped": flip})
+        return AugResult(out, Var(t), {"flipped": flip})
 
 
 class RandomAffine:
@@ -141,7 +140,7 @@ class RandomAffine:
         t = _identity_transforms(n)
         t[:, :2, :] = mats
         return AugResult(
-            out, Tensor(t), {"angle": angles, "tx": txs, "ty": tys, "scale": scales}
+            out, Var(t), {"angle": angles, "tx": txs, "ty": tys, "scale": scales}
         )
 
 
@@ -193,7 +192,7 @@ class ColorJitter:
         out = rows[0] if n == 1 else concat(rows, axis=0)
         return AugResult(
             out,
-            Tensor(_identity_transforms(n)),
+            Var(_identity_transforms(n)),
             {"brightness": bs, "contrast": cs, "saturation": ss, "hue": hs},
         )
 
@@ -231,7 +230,7 @@ class RandomErasing:
             mask[i, 0, i0 : i0 + eh, j0 : j0 + ew] = 0.0
             boxes[i] = (i0, j0, eh, ew)
         out = batch * mask
-        return AugResult(out, Tensor(_identity_transforms(n)), {"boxes": boxes})
+        return AugResult(out, Var(_identity_transforms(n)), {"boxes": boxes})
 
 
 class RandomResizedCrop:
@@ -261,7 +260,7 @@ class RandomResizedCrop:
             mats[i] = [[sx, 0.0, -j0 * sx], [0.0, sy, -i0 * sy], [0.0, 0.0, 1.0]]
             boxes[i] = (i0, j0, ch, cw)
         out = warp_perspective(batch, mats)
-        return AugResult(out, Tensor(mats.copy()), {"boxes": boxes})
+        return AugResult(out, Var(mats), {"boxes": boxes})
 
 
 class AugmentChain:
@@ -284,7 +283,7 @@ class AugmentChain:
             out = res.output
             total = res.transform.data @ total
             params.append(res.params)
-        return AugResult(out, Tensor(total), {"steps": params})
+        return AugResult(out, Var(total), {"steps": params})
 
 
 # functional spellings of the op contracts

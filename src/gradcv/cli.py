@@ -33,7 +33,6 @@ from .errors import (
 )
 from .geometry import load_camera
 from .imgio import load_image
-from .tensor import Tensor
 
 
 def _add_common(p: argparse.ArgumentParser, levels: int, iters: int, lr: float) -> None:

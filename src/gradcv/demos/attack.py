@@ -45,7 +45,7 @@ from ..features import (
 from ..geometry.linalg import transform_points
 from ..imgio import save_image
 from ..tape import Var, as_var, backward, mean, sqrt, stack
-from ..tensor import Tensor, as_array
+from ..tensor import _frozen, as_array
 from .config import RunConfig, make_optimizer, write_trace_csv
 
 _PAIR_RADIUS = 16.0  # px: only keypoint pairs this close after reprojection
@@ -54,8 +54,8 @@ _MIN_PAIRS = 8
 
 @dataclass
 class AttackResult:
-    img_a: Tensor
-    img_b: Tensor
+    img_a: Var  # constant
+    img_b: Var  # constant
     trace: list = field(default_factory=list)  # (iteration, 0, loss)
     match_trace: list = field(default_factory=list)  # (iteration, mutual, consistent)
     pre_count: int = 0
@@ -176,12 +176,12 @@ def attack(img_a, img_b, h_target, config: RunConfig | None = None) -> AttackRes
     h_target = as_array(h_target, np.float64)
     base_a = _to_gray(img_a).detach()
     base_b = _to_gray(img_b).detach()
-    va = Var(base_a.data.copy(), requires_grad=True)
-    vb = Var(base_b.data.copy(), requires_grad=True)
+    va = Var(base_a, requires_grad=True)
+    vb = Var(base_b, requires_grad=True)
     opt = make_optimizer(config, [va, vb])
     levels = min(config.levels, 3)
 
-    result = AttackResult(img_a=va.value, img_b=vb.value)
+    result = AttackResult(img_a=va.detach(), img_b=vb.detach())
     result.pre_count = count_target_consistent_matches(va, vb, h_target, config)[1]
     kps_a = kps_b = None
     ia = ib = ineg = None
@@ -222,11 +222,11 @@ def attack(img_a, img_b, h_target, config: RunConfig | None = None) -> AttackRes
         result.trace.append((it, 0, lv))
         grads = backward(loss)
         opt.step(grads)
-        va.value = Tensor(np.clip(va.data, 0.0, 1.0))
-        vb.value = Tensor(np.clip(vb.data, 0.0, 1.0))
+        va.data = _frozen(np.clip(va.data, 0.0, 1.0))
+        vb.data = _frozen(np.clip(vb.data, 0.0, 1.0))
 
-    result.img_a = va.value
-    result.img_b = vb.value
+    result.img_a = va.detach()
+    result.img_b = vb.detach()
     mutual, consistent = count_target_consistent_matches(va, vb, h_target, config)
     result.match_trace.append((config.iters, mutual, consistent))
     result.post_count = consistent

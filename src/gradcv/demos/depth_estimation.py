@@ -22,7 +22,6 @@ from ..imgio import save_image
 from ..kernels import upsample_bilinear
 from ..losses import multiview_photo_loss
 from ..tape import Var, as_var, backward, maximum
-from ..tensor import Tensor
 from .config import RunConfig, make_optimizer, write_trace_csv
 
 _DEPTH_FLOOR = 1e-3
@@ -30,7 +29,7 @@ _DEPTH_FLOOR = 1e-3
 
 @dataclass
 class DepthResult:
-    depth: Tensor  # (1,1,H,W) metric depth in the reference view
+    depth: Var  # constant (1,1,H,W) metric depth in the reference view
     trace: list = field(default_factory=list)  # (iteration, level, loss)
     initial_loss: float = 0.0
     final_loss: float = 0.0
@@ -91,7 +90,7 @@ def estimate_depth(views, config: RunConfig | None = None, ref_index: int = 0) -
     init = 1.0 - rng.random((1, 1) + sizes[0])
     depth_param = Var(init, requires_grad=True)
 
-    result = DepthResult(depth=Tensor(init))
+    result = DepthResult(depth=Var(init))
     out_dir = config.ensure_out_dir()
     step = 0
     for level_idx, size in enumerate(sizes):
@@ -111,7 +110,7 @@ def estimate_depth(views, config: RunConfig | None = None, ref_index: int = 0) -
                     ref_img, warped, src_img, d_full, alpha=config.alpha, lam=config.lam
                 )
                 loss = term if loss is None else loss + term
-                warped_views.append(warped.value)
+                warped_views.append(warped.detach())
             loss = loss * (1.0 / len(src))
             lv = float(loss.data)
             if not np.isfinite(lv):
@@ -129,11 +128,11 @@ def estimate_depth(views, config: RunConfig | None = None, ref_index: int = 0) -
             save_image(os.path.join(out_dir, f"error_l{level_idx}.pgm"), np.clip(err, 0, 1))
 
     result.final_loss = result.trace[-1][2]
-    result.depth = Tensor(np.maximum(depth_param.data, _DEPTH_FLOOR))
+    result.depth = Var(np.maximum(depth_param.data, _DEPTH_FLOOR))
     result.warped = []
-    d_full = upsample_bilinear(Var(result.depth), (h_full, w_full))
+    d_full = upsample_bilinear(result.depth, (h_full, w_full))
     for src_img, src_cam in src:
-        result.warped.append(depth_warp(src_img, d_full, src_cam, ref_cam).value)
+        result.warped.append(depth_warp(src_img, d_full, src_cam, ref_cam))
     if out_dir:
         write_trace_csv(os.path.join(out_dir, "trace.csv"), result.trace)
         dmax = result.depth.data.max()

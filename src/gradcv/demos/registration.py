@@ -18,7 +18,6 @@ from ..filters import gaussian_pyramid
 from ..geometry.transforms import denormalize_homography, homography_warp
 from ..imgio import save_image
 from ..tape import Var, as_var, backward, concat, mean
-from ..tensor import Tensor
 from .config import RunConfig, make_optimizer, write_trace_csv
 
 
@@ -71,10 +70,10 @@ def register(img_src, img_dst, config: RunConfig | None = None) -> RegistrationR
             step += 1
             grads = backward(loss)
             opt.step(grads)
-        result.warped.append(warped.value)
+        result.warped.append(warped.detach())
         result.final_loss = result.trace[-1][2]
         if out_dir:
-            save_image(os.path.join(out_dir, f"warped_level{level}.ppm"), warped.value)
+            save_image(os.path.join(out_dir, f"warped_level{level}.ppm"), warped)
 
     m_norm = np.append(params.data, 1.0).reshape(3, 3)  # dst_norm -> src_norm
     h_norm = np.linalg.inv(m_norm)  # src_norm -> dst_norm

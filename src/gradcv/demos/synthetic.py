@@ -7,10 +7,9 @@ import numpy as np
 from ..filters import gaussian_blur2d
 from ..geometry import make_camera, warp_perspective
 from ..tape import Var
-from ..tensor import Tensor
 
 
-def smooth_texture(height: int, width: int, seed: int = 0, octaves: int = 3) -> Tensor:
+def smooth_texture(height: int, width: int, seed: int = 0, octaves: int = 3) -> Var:
     """Multi-octave blurred noise in [0,1]: textured at several scales, so
     coarse-to-fine photometric optimization has gradients at every level."""
     rng = np.random.default_rng(seed)
@@ -26,13 +25,13 @@ def smooth_texture(height: int, width: int, seed: int = 0, octaves: int = 3) -> 
         amp *= 1.6
     acc -= acc.min()
     acc /= acc.max()
-    return Tensor(0.05 + 0.9 * acc)
+    return Var(0.05 + 0.9 * acc)
 
 
 def warped_pair(height: int, width: int, h_true: np.ndarray, seed: int = 0):
     """(src, dst) where dst = warp_perspective(src, h_true)."""
     src = smooth_texture(height, width, seed)
-    dst = warp_perspective(Var(src), h_true).value
+    dst = warp_perspective(src, h_true)
     return src, dst
 
 
@@ -67,7 +66,7 @@ def plane_scene(
     tex = smooth_texture(height, width, seed).numpy()
     cx, cy = (width - 1) / 2.0, (height - 1) / 2.0
     cam_ref = make_camera(focal, focal, cx, cy, np.eye(4), size=(height, width))
-    views = [(Tensor(tex), cam_ref)]
+    views = [(Var(tex), cam_ref)]
     for b in baselines:
         t = np.eye(4)
         t[0, 3] = -b  # camera center at +b along x
@@ -76,7 +75,7 @@ def plane_scene(
         shift = focal * b / depth
         h = np.eye(3)
         h[0, 2] = -shift
-        img = warp_perspective(Var(Tensor(tex)), h).value
+        img = warp_perspective(views[0][0], h)
         views.append((img, cam))
-    gt = Tensor(np.full((1, 1, height, width), depth))
+    gt = Var(np.full((1, 1, height, width), depth))
     return views, gt

@@ -113,10 +113,10 @@ def corner_response(
         ksize = 2 * int(3 * sigma_int) + 1
         smoothed = gaussian_blur2d(img, (ksize, ksize), (sigma_int, sigma_int))
         grad = spatial_gradient(smoothed, mode="diff")
-        gxx = spatial_gradient(grad[:, :, 0], mode="diff")
-        gyy = spatial_gradient(grad[:, :, 1], mode="diff")
-        ixx, ixy = gxx[:, :, 0], gxx[:, :, 1]
-        iyy = gyy[:, :, 1]
+        # one pass over both first derivatives: second[:, c, d] is the derivative
+        # of channel c (dx, dy) along axis d (x, y)
+        second = spatial_gradient(grad[:, 0], mode="diff")
+        ixx, ixy, iyy = second[:, 0:1, 0], second[:, 0:1, 1], second[:, 1:2, 1]
         return ixx * iyy - ixy * ixy
     raise ParameterError(f"unknown response mode {mode!r}")
 
@@ -431,11 +431,6 @@ def match_mnn(desc_a, desc_b, ratio: float | None = None) -> list:
 # RANSAC
 
 
-def _apply_h(h: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    ph = np.concatenate([pts, np.ones((len(pts), 1))], axis=1) @ h.T
-    return ph[:, :2] / ph[:, 2:3]
-
-
 def _dlt_least_squares(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """Overdetermined DLT with h22 = 1 via normal equations."""
     a, b = _dlt_system(src, dst)
@@ -534,8 +529,8 @@ def ransac_homography(
         raise NoConsensusError(f"no homography with >= 4 inliers in {max_iters} iterations")
     try:
         refit = _dlt_least_squares(a[best_mask], b[best_mask])
-        res = np.linalg.norm(_apply_h(refit, a) - b, axis=1)
-        mask = res < threshold
+        with np.errstate(invalid="ignore", divide="ignore"):
+            mask = _inlier_masks(refit[None], a, b, threshold)[0]
         if mask.sum() >= 4:
             return refit, mask
     except np.linalg.LinAlgError:
@@ -566,7 +561,7 @@ def extract_patches_at(img, xs, ys, size: int = PATCH_SIZE) -> Var:
     _require_gray(img, "extract_patches_at")
     if img.shape[0] != 1:
         raise ShapeError(f"extract_patches_at takes one image, got a batch of {img.shape[0]}")
-    if any(isinstance(c, Var) and (c.requires_grad or c._tape is not None) for c in (xs, ys)):
+    if any(isinstance(c, Var) and c.requires_grad for c in (xs, ys)):
         raise UsageError("extract_patches_at takes constant centers; their gradient would be lost")
     if size < 1:
         raise ParameterError(f"patch size must be >= 1, got {size}")
@@ -632,11 +627,12 @@ def hessian_pyramid(img, levels: int = 3, sigma: float = PYRAMID_BASE_SIGMA) -> 
     out = []
     cur = img
     for lvl in range(levels):
+        if lvl:
+            cur = pyramid_down(cur)
         if min(cur.shape[2], cur.shape[3]) < PATCH_SIZE + 4:
             break
         resp = corner_response(cur, mode="hessian", sigma_int=sigma)
         out.append(PyramidLevel(image=cur, response=resp, scale=2**lvl))
-        cur = pyramid_down(cur)
     if not out:
         raise ShapeError(f"image too small for the {PATCH_SIZE}px patch pipeline: {img.shape}")
     return out

@@ -13,7 +13,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ParameterError
 from .kernels import _require_4d, conv2d, pad2d
 from .tape import Var, _record, as_var, sqrt, stack
-from .tensor import Tensor
 
 SOBEL_X = np.array([[-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0], [-1.0, 0.0, 1.0]])
 DIFF_X = np.array([[-0.5, 0.0, 0.5]])
@@ -28,14 +27,14 @@ def _check_odd(k: int, name: str) -> None:
         raise ParameterError(f"{name} must be odd and positive, got {k}")
 
 
-def gaussian_kernel1d(size: int, sigma: float) -> Tensor:
-    """Sampled, truncated, mass-1 Gaussian as a (1, size) tensor."""
+def gaussian_kernel1d(size: int, sigma: float) -> Var:
+    """Sampled, truncated, mass-1 Gaussian as a constant (1, size) Var."""
     _check_odd(size, "gaussian kernel size")
     if sigma <= 0:
         raise ParameterError(f"sigma must be > 0, got {sigma}")
     x = np.arange(size, dtype=np.float64) - size // 2
     k = np.exp(-0.5 * (x / sigma) ** 2)
-    return Tensor((k / k.sum())[None, :])
+    return Var((k / k.sum())[None, :])
 
 
 def gaussian_blur2d(img, size: tuple, sigma: tuple, border: str = "reflect") -> Var:

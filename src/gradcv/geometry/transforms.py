@@ -23,7 +23,7 @@ import numpy as np
 from ..errors import EstimationError, ParameterError, ShapeError
 from ..kernels import sample_bilinear
 from ..tape import Var, _record, as_var, concat, matmul, where
-from ..tensor import Tensor, as_array
+from ..tensor import as_array
 
 _DET_EPS = 1e-12
 
@@ -139,8 +139,8 @@ def _warp(img: Var, m: Var, dsize) -> Var:
         raise ShapeError(f"{m.shape[0]} transforms for batch of {n}")
     if m.shape[0] != n:
         m = m * np.ones((n, 1, 1), m.dtype)  # one shared map for the whole batch
-    grid = Tensor._wrap(_pixel_grid(*dsize, m.dtype))  # the grid is not copied
-    p = matmul(m, Var(grid))  # (N,3,H'W')
+    grid = Var._wrap(_pixel_grid(*dsize, m.dtype))  # the grid is not copied
+    p = matmul(m, grid)  # (N,3,H'W')
     return _dehomogenize_and_sample(img, p, np.abs(p.data[:, 2:]) > _DET_EPS, dsize)
 
 

@@ -12,7 +12,8 @@ import re
 import numpy as np
 
 from .errors import ParameterError
-from .tensor import Tensor, as_array
+from .tape import Var
+from .tensor import as_array
 
 _TOKEN = re.compile(rb"(?:\s*(?:#[^\n]*\n)?)*(\S+)")
 
@@ -70,14 +71,14 @@ def write_pnm(path: str | os.PathLike, img, maxval: int = 255) -> None:
         fh.write(data.tobytes())
 
 
-def load_image(path: str | os.PathLike, dtype=np.float64) -> Tensor:
-    """Read a PPM/PGM file as a 1xCxHxW tensor in [0,1]."""
+def load_image(path: str | os.PathLike, dtype=np.float64) -> Var:
+    """Read a PPM/PGM file as a constant 1xCxHxW Var in [0,1]."""
     img = read_pnm(path).astype(dtype)
     if img.ndim == 2:
         chw = img[None, :, :]
     else:
         chw = img.transpose(2, 0, 1)
-    return Tensor(chw[None])
+    return Var(chw[None])
 
 
 def save_image(path: str | os.PathLike, img, maxval: int = 255) -> None:

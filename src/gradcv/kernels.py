@@ -14,7 +14,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ParameterError, ShapeError
 from .tape import Var, _record, as_var
-from .tensor import Tensor
 
 BORDER_MODES = ("zero", "replicate", "reflect")
 _NP_PAD_MODES = {"zero": "constant", "replicate": "edge", "reflect": "symmetric"}
@@ -108,8 +107,7 @@ def conv2d(x, kernel, border: str = "reflect") -> Var:
             f"per-channel kernel has {kernel.shape[0]} channels, input has {x.shape[1]}"
         )
     xp = pad2d(x, (kh // 2, kh // 2, kw // 2, kw // 2), mode=border)
-    need_x = xp.requires_grad or xp._tape is not None
-    need_k = kernel.requires_grad or kernel._tape is not None
+    need_x, need_k = xp.requires_grad, kernel.requires_grad
     k = kernel.data
     if not need_k and np.issubdtype(x.dtype, np.floating):
         k = k.astype(x.dtype, copy=False)  # a constant kernel keeps float32 float32
@@ -190,8 +188,8 @@ def sample_bilinear(x, px, py) -> Var:
     dy -= top  # in place: bottom minus top, the y-derivative
     out = dy * wy
     out += top
-    need_x = x._tape is not None or x.requires_grad
-    need_g = any(p._tape is not None or p.requires_grad for p in (px, py))
+    need_x = x.requires_grad
+    need_g = px.requires_grad or py.requires_grad
     x_dtype, px_dtype, py_dtype = x.dtype, px.dtype, py.dtype  # dtypes, never Vars (no cycles)
 
     def vjp(g):
@@ -256,8 +254,8 @@ def upsample_bilinear(x, size: Tuple[int, int]) -> Var:
     else:
         jy = np.zeros(1, dtype=x.dtype)
     # fresh grids, wrapped without the copy a Var of a plain array makes
-    px = Var(Tensor._wrap(np.broadcast_to(jx[None, None, :], (n, ho, wo)).copy()))
-    py = Var(Tensor._wrap(np.broadcast_to(jy[None, :, None], (n, ho, wo)).copy()))
+    px = Var._wrap(np.broadcast_to(jx[None, None, :], (n, ho, wo)).copy())
+    py = Var._wrap(np.broadcast_to(jy[None, :, None], (n, ho, wo)).copy())
     return sample_bilinear(x, px, py)
 
 

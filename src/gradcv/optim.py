@@ -1,6 +1,6 @@
 """Gradient-descent optimizers over leaf Vars.
 
-Optimizers mutate `param.value` in place (the Tensor it points to is
+Optimizers rebind `param.data` to a new read-only array (the old array is
 replaced, never modified), so the same leaf Vars can be re-recorded on a
 fresh tape every iteration.
 """
@@ -10,11 +10,11 @@ import numpy as np
 
 from .errors import ParameterError
 from .tape import Var
-from .tensor import Tensor
+from .tensor import _frozen
 
 
 def _update(param: Var, new_values: np.ndarray) -> None:
-    param.value = Tensor._wrap(np.ascontiguousarray(new_values))
+    param.data = _frozen(np.ascontiguousarray(new_values))
 
 
 class SgdMomentum:

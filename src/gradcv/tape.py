@@ -1,10 +1,10 @@
 """Reverse-mode automatic differentiation on a tape.
 
-A :class:`Var` wraps a :class:`~gradcv.tensor.Tensor` and, when it depends on
-a gradient-requiring leaf, a node on a :class:`Tape`.  Ops append nodes in
-execution order, so the node list is topologically sorted by construction and
-:func:`backward` is a single reverse sweep that accumulates vector-Jacobian
-products into per-node buffers.
+A :class:`Var` holds a read-only float array in ``data`` and, when it
+depends on a gradient-requiring leaf, a node on a :class:`Tape`.  Ops append
+nodes in execution order, so the node list is topologically sorted by
+construction and :func:`backward` is a single reverse sweep that accumulates
+vector-Jacobian products into per-node buffers.
 
 Leaves are not bound to a tape permanently.  Recording uses a thread-local
 *ambient* tape: it is created when an op first touches a gradient-requiring
@@ -20,9 +20,9 @@ from typing import Any, Callable, Iterable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import ShapeError, UsageError
-from .tensor import Tensor, as_array
+from .tensor import _coerce, _frozen, as_array
 
-ArrayLike = Union["Var", Tensor, np.ndarray, float, int, Sequence]
+ArrayLike = Union["Var", np.ndarray, float, int, Sequence]
 
 # Ties in maximum/minimum/clamp propagate the gradient to the first operand;
 # abs'(0) = 0.  Deterministic subgradient conventions keep tapes reproducible.
@@ -63,78 +63,77 @@ class Tape:
 
 
 class Var:
-    """Tensor node on an autodiff tape.
+    """Read-only float array, optionally a node on an autodiff tape.
 
     A Var is either a leaf (value plus ``requires_grad`` flag) or the output
-    of a recorded op.  Arithmetic operators and the named methods build the
-    graph; :func:`backward` on a scalar Var returns ``{leaf: gradient}``.
+    of a recorded op.  Constructing one copies the input into a contiguous
+    float32/float64 array with every extent >= 1 and marks it read-only;
+    ``Var(v)`` of another Var shares ``v.data``.  Arithmetic operators and
+    the named methods build the graph; :func:`backward` on a scalar Var
+    returns ``{leaf: gradient}``.
     """
 
-    __slots__ = ("value", "requires_grad", "_tape", "_node_id")
+    __slots__ = ("data", "requires_grad", "_tape", "_node_id")
 
     # keep numpy from hijacking mixed ndarray/Var arithmetic: returning
     # NotImplemented routes it back through our reflected operators
     __array_ufunc__ = None
 
-    def __init__(self, value: Any, requires_grad: bool = False, dtype=None):
-        if isinstance(value, Var):
-            value = value.value
-        if not isinstance(value, Tensor):
-            value = Tensor(value, dtype=dtype)
-        elif dtype is not None and value.dtype != dtype:
-            value = value.astype(dtype)
-        self.value = value
+    def __init__(self, data: Any, requires_grad: bool = False, dtype=None):
+        if isinstance(data, Var) and (dtype is None or data.dtype == dtype):
+            self.data = data.data
+        else:
+            self.data = _frozen(np.ascontiguousarray(_coerce(data, dtype)))
         self.requires_grad = bool(requires_grad)
         self._tape: Optional[Tape] = None
         self._node_id: int = -1
 
     @classmethod
-    def _from_node(cls, value: Tensor, tape: Tape, node_id: int) -> "Var":
+    def _wrap(cls, arr: np.ndarray, tape: Optional[Tape] = None, node_id: int = -1) -> "Var":
+        # Internal: adopt a freshly computed array without copying; a Var on
+        # a tape is a recorded node and so always requires a gradient.
         v = object.__new__(cls)
-        v.value = value
-        v.requires_grad = True
+        v.data = _frozen(arr)
+        v.requires_grad = tape is not None
         v._tape = tape
         v._node_id = node_id
         return v
 
     # -- value access -------------------------------------------------
     @property
-    def data(self) -> np.ndarray:
-        return self.value.data
-
-    @property
     def shape(self) -> tuple:
-        return self.value.shape
+        return self.data.shape
 
     @property
     def dtype(self) -> np.dtype:
-        return self.value.dtype
+        return self.data.dtype
 
     @property
     def ndim(self) -> int:
-        return self.value.ndim
+        return self.data.ndim
 
     @property
     def size(self) -> int:
-        return self.value.size
+        return self.data.size
 
     def numpy(self) -> np.ndarray:
-        return self.value.numpy()
+        """Writable copy of the values."""
+        return self.data.copy()
 
     def item(self) -> float:
-        return self.value.item()
+        return float(self.data.reshape(-1)[0])
 
-    def __array__(self, dtype=None):
-        return self.value.__array__(dtype)
+    def __array__(self, dtype=None, copy=None):
+        # the read-only data itself unless a copy or a cast is asked for
+        if dtype is None or np.dtype(dtype) == self.data.dtype:
+            return self.data.copy() if copy else self.data
+        if copy is False:
+            raise ValueError(f"casting {self.dtype} to {np.dtype(dtype)} needs a copy")
+        return self.data.astype(dtype)
 
     def detach(self) -> "Var":
         """Constant Var sharing this value (cuts the graph)."""
-        v = object.__new__(Var)
-        v.value = self.value
-        v.requires_grad = False
-        v._tape = None
-        v._node_id = -1
-        return v
+        return Var._wrap(self.data)
 
     def __repr__(self) -> str:
         tag = "leaf" if self._tape is None else f"node {self._node_id}"
@@ -262,9 +261,9 @@ def _record(out_arr: np.ndarray, parents: Sequence[Var], vjp: Callable) -> Var:
             track = True
         elif p.requires_grad:
             track = True
-    out_t = Tensor._wrap(np.asarray(out_arr))
+    out_arr = np.asarray(out_arr)
     if not track:
-        return Var(out_t)
+        return Var._wrap(out_arr)
     if tape is None:
         tape = _current_tape()
     pids = []
@@ -276,17 +275,18 @@ def _record(out_arr: np.ndarray, parents: Sequence[Var], vjp: Callable) -> Var:
         else:
             pids.append(-1)
     nid = tape._add(_Node(tuple(pids), vjp))
-    return Var._from_node(out_t, tape, nid)
+    return Var._wrap(out_arr, tape, nid)
 
 
 def backward(loss: Var) -> dict:
     """Reverse sweep from a scalar loss.
 
-    Returns ``{leaf Var: Tensor gradient}`` covering every gradient-requiring
-    leaf recorded on the loss's tape; leaves that do not reach the loss get
-    zeros.  Raises :class:`ShapeError` for non-scalar losses and
-    :class:`UsageError` when the loss is a constant/detached Var.  The
-    thread's ambient tape is released, so subsequent ops start a new graph.
+    Returns ``{leaf Var: gradient}`` covering every gradient-requiring leaf
+    recorded on the loss's tape; each gradient is a constant Var in its
+    leaf's dtype, and leaves that do not reach the loss get zeros.  Raises
+    :class:`ShapeError` for non-scalar losses and :class:`UsageError` when
+    the loss is a constant/detached Var.  The thread's ambient tape is
+    released, so subsequent ops start a new graph.
     """
     if not isinstance(loss, Var):
         raise UsageError("backward expects a Var")
@@ -322,7 +322,7 @@ def backward(loss: Var) -> dict:
             g = np.zeros_like(leaf.data)
         # a gradient comes back in its leaf's dtype (free when they already match)
         g = np.ascontiguousarray(g).reshape(leaf.data.shape).astype(leaf.dtype, copy=False)
-        out[leaf] = Tensor._wrap(g)
+        out[leaf] = Var._wrap(g)
     return out
 
 
@@ -647,8 +647,7 @@ def matmul(a, b) -> Var:
     x, y = av.data, bv.data
     out = x @ y
     sa, sb = av.shape, bv.shape
-    need_a = av.requires_grad or av._tape is not None
-    need_b = bv.requires_grad or bv._tape is not None
+    need_a, need_b = av.requires_grad, bv.requires_grad
 
     def vjp(g):
         # an untracked operand (a constant grid or matrix) gets no product

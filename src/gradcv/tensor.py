@@ -1,8 +1,8 @@
-"""Dense tensor values.
+"""Array helpers behind :class:`~gradcv.tape.Var`.
 
-A :class:`Tensor` is an immutable, row-major, contiguous float array.  Image
-batches always use the NCHW layout (batch x channel x height x width); public
-image operations require 4-D input and callers unsqueeze as needed.
+A Var holds an immutable, row-major, contiguous float array.  Image batches
+always use the NCHW layout (batch x channel x height x width); public image
+operations require 4-D input and callers unsqueeze as needed.
 """
 from __future__ import annotations
 
@@ -29,82 +29,22 @@ def _coerce(data: Any, dtype) -> np.ndarray:
     return arr
 
 
-class Tensor:
-    """Immutable dense N-D float array.
-
-    Values are stored by value: constructing a Tensor copies the input, and
-    the underlying buffer is marked read-only, so tensors are safe to share
-    across threads and to capture on an autodiff tape.
-    """
-
-    __slots__ = ("_data",)
-
-    def __init__(self, data: Any, dtype=None):
-        arr = _coerce(data, dtype)
-        if any(e < 1 for e in arr.shape):
-            raise ShapeError(f"tensor extents must be >= 1, got shape {arr.shape}")
-        arr = np.ascontiguousarray(arr)
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """arr marked read-only (a copy when its flag cannot be cleared); every
+    extent must be >= 1."""
+    if arr.size == 0:
+        raise ShapeError(f"tensor extents must be >= 1, got shape {arr.shape}")
+    try:
         arr.flags.writeable = False
-        self._data = arr
-
-    @classmethod
-    def _wrap(cls, arr: np.ndarray) -> "Tensor":
-        # Internal: adopt a freshly computed array without copying.
-        t = object.__new__(cls)
-        if any(e < 1 for e in arr.shape):
-            raise ShapeError(f"tensor extents must be >= 1, got shape {arr.shape}")
-        try:
-            arr.flags.writeable = False
-        except ValueError:
-            arr = arr.copy()
-            arr.flags.writeable = False
-        t._data = arr
-        return t
-
-    @property
-    def data(self) -> np.ndarray:
-        """Read-only numpy view of the values."""
-        return self._data
-
-    @property
-    def shape(self) -> tuple:
-        return self._data.shape
-
-    @property
-    def dtype(self) -> np.dtype:
-        return self._data.dtype
-
-    @property
-    def ndim(self) -> int:
-        return self._data.ndim
-
-    @property
-    def size(self) -> int:
-        return self._data.size
-
-    def numpy(self) -> np.ndarray:
-        """Writable copy of the values."""
-        return self._data.copy()
-
-    def item(self) -> float:
-        return float(self._data.reshape(-1)[0])
-
-    def astype(self, dtype) -> "Tensor":
-        return Tensor._wrap(self._data.astype(dtype))
-
-    def __array__(self, dtype=None):
-        return self._data if dtype is None else self._data.astype(dtype)
-
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, dtype={self.dtype.name})"
+    except ValueError:
+        arr = arr.copy()
+        arr.flags.writeable = False
+    return arr
 
 
 def as_array(x: Any, dtype=None) -> np.ndarray:
-    """Raw ndarray from a Tensor, ndarray, scalar, or nested sequence."""
-    if isinstance(x, Tensor):
-        arr = x.data
-    else:
-        arr = np.asarray(x)
+    """Raw ndarray from a Var, ndarray, scalar, or nested sequence."""
+    arr = np.asarray(x)
     if dtype is not None and arr.dtype != dtype:
         arr = arr.astype(dtype)
     return arr

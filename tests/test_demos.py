@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 import gradcv as g
-from gradcv import features
+from gradcv import augment, features
 from gradcv.demos import RunConfig, attack, estimate_depth, register, run_bench, synthetic
 from gradcv.demos.attack import count_target_consistent_matches
 from gradcv.demos.bench import write_bench_csv
 from gradcv.demos.config import make_optimizer
+from gradcv.filters import gaussian_kernel1d
 from gradcv.geometry import transform_points
 from gradcv.optim import Adam, SgdMomentum
 
@@ -141,7 +142,7 @@ def test_attack_perturbation_penalty_is_quadratic():
 
 
 def test_attack_requires_keypoints():
-    flat = g.Tensor(np.full((1, 1, 96, 96), 0.5))
+    flat = g.Var(np.full((1, 1, 96, 96), 0.5))
     img_a, img_b, h = _attack_inputs()
     with pytest.raises(g.EstimationError):
         attack(flat, img_b, h, RunConfig(iters=1, levels=3, lr=3e-3))
@@ -233,6 +234,23 @@ def test_count_metric_identical_images_identity_h():
 
 
 # --- bench ---------------------------------------------------------------------
+
+
+def test_results_are_constant_vars(tmp_path):
+    img = synthetic.smooth_texture(24, 24, seed=3)
+    reg = register(img, img, RunConfig(levels=2, iters=2, lr=1e-3))
+    views, _ = synthetic.plane_scene(height=24, width=32, seed=9, focal=32.0)
+    dep = estimate_depth(views, RunConfig(levels=1, iters=2, lr=10.0, optimizer="sgd_momentum"))
+    img_a, img_b, h = _attack_inputs(seed=12)
+    atk = attack(img_a, img_b, h, RunConfig(iters=1, levels=3, lr=3e-3, max_keypoints=60))
+    flipped = augment.random_hflip(img, 1.0, augment.Rng(0))
+    g.save_image(tmp_path / "img.pgm", img)
+    results = [*reg.warped, dep.depth, *dep.warped, atk.img_a, atk.img_b, flipped.transform,
+               g.load_image(tmp_path / "img.pgm"), img, gaussian_kernel1d(5, 1.0)]
+    assert len(results) == 11
+    for v in results:
+        assert isinstance(v, g.Var)
+        assert v._tape is None and not v.requires_grad
 
 
 def test_bench_rows_and_csv(tmp_path):

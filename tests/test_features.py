@@ -56,6 +56,36 @@ def test_hessian_blob_peak_at_center():
     assert peak == (20, 20)
 
 
+def test_hessian_response_matches_two_call_formula():
+    # one spatial_gradient over both first derivatives gives the same
+    # response and the same image gradient as one call per derivative
+    weights = np.random.default_rng(6).normal(size=(1, 1, 40, 48))
+
+    def two_call(img):
+        smoothed = gaussian_blur2d(img, (7, 7), (1.0, 1.0))
+        grad = spatial_gradient(smoothed, mode="diff")
+        gxx = spatial_gradient(grad[:, :, 0], mode="diff")
+        gyy = spatial_gradient(grad[:, :, 1], mode="diff")
+        return gxx[:, :, 0] * gyy[:, :, 1] - gxx[:, :, 1] * gxx[:, :, 1]
+
+    outs = []
+    for response in (two_call, lambda v: ft.corner_response(v, mode="hessian", sigma_int=1.0)):
+        x = g.Var(textured_image((40, 48), seed=4), requires_grad=True)
+        r = response(x)
+        outs.append((r.data, g.backward((r * weights).sum())[x].data))
+    assert np.array_equal(outs[0][0], outs[1][0])
+    assert np.array_equal(outs[0][1], outs[1][1])
+
+
+def test_hessian_pyramid_downsamples_only_between_levels(monkeypatch):
+    calls = []
+    down = ft.pyramid_down
+    monkeypatch.setattr(ft, "pyramid_down", lambda x: calls.append(x.shape) or down(x))
+    pyramid = ft.hessian_pyramid(g.Var(textured_image((160, 160), seed=2)), levels=3)
+    assert [lvl.image.shape[2] for lvl in pyramid] == [160, 80, 40]
+    assert calls == [(1, 1, 160, 160), (1, 1, 80, 80)]
+
+
 def test_response_translation_equivariance():
     img = textured_image((32, 48), seed=3)
     shifted = np.roll(img, 5, axis=3)
@@ -437,10 +467,10 @@ def test_ransac_exact_consensus():
     rng = np.random.default_rng(13)
     h_true = np.array([[1.02, 0.01, 5.0], [-0.015, 0.99, -3.0], [1e-5, -2e-5, 1.0]])
     pts = rng.uniform(0, 100, (30, 2))
-    dst = ft._apply_h(h_true, pts)
+    dst = geo.transform_points(h_true, pts).data
     h, mask = ft.ransac_homography(pts, dst, threshold=2.0, max_iters=200, seed=0)
     assert mask.all()
-    reproj = np.linalg.norm(ft._apply_h(h, pts) - dst, axis=1)
+    reproj = np.linalg.norm(geo.transform_points(h, pts).data - dst, axis=1)
     assert reproj.max() < 1e-6
 
 
@@ -449,7 +479,7 @@ def test_ransac_planted_inliers_recall(seed):
     rng = np.random.default_rng(100 + seed)
     h_true = np.array([[1.0, 0.02, 8.0], [-0.01, 1.01, -4.0], [0.0, 0.0, 1.0]])
     inl = rng.uniform(10, 90, (40, 2))
-    dst_inl = ft._apply_h(h_true, inl) + rng.normal(scale=0.3, size=(40, 2))
+    dst_inl = geo.transform_points(h_true, inl).data + rng.normal(scale=0.3, size=(40, 2))
     out = rng.uniform(0, 100, (10, 2))
     dst_out = rng.uniform(0, 100, (10, 2))
     pts = np.vstack([inl, out])
@@ -478,7 +508,7 @@ def test_ransac_deterministic():
     h_true = np.eye(3)
     h_true[:2, 2] = [3.0, 1.0]
     pts = rng.uniform(0, 64, (25, 2))
-    dst = ft._apply_h(h_true, pts) + rng.normal(scale=0.4, size=(25, 2))
+    dst = geo.transform_points(h_true, pts).data + rng.normal(scale=0.4, size=(25, 2))
     dst[::5] += 20.0  # outliers
     r1 = ft.ransac_homography(pts, dst, 2.0, 500, seed=42)
     r2 = ft.ransac_homography(pts, dst, 2.0, 500, seed=42)

@@ -45,6 +45,14 @@ def test_state_shapes_match_params():
     assert p.shape == (2, 3)
 
 
+@pytest.mark.parametrize("make", [lambda p: Adam([p], lr=0.1), lambda p: SgdMomentum([p], lr=0.05)])
+def test_step_keeps_params_read_only(make):
+    p = g.Var(np.zeros(3), requires_grad=True)
+    make(p).step(g.backward(_loss(p)))
+    assert not np.array_equal(p.data, np.zeros(3))
+    assert not p.data.flags.writeable and p.data.flags.c_contiguous
+
+
 def test_missing_grad_is_skipped():
     p = g.Var(np.ones(2), requires_grad=True)
     q = g.Var(np.ones(2), requires_grad=True)

@@ -215,16 +215,53 @@ def test_detach_cuts_graph():
     assert grads[x].data == pytest.approx(4.0)  # only the outer factor
 
 
-def test_tensor_invariants():
-    t = g.Tensor([[1.0, 2.0], [3.0, 4.0]])
+def test_var_invariants():
+    t = g.Var([[1.0, 2.0], [3.0, 4.0]])
     assert t.shape == (2, 2)
     assert t.dtype == np.float64
     with pytest.raises(ValueError):
         t.data[0, 0] = 5.0  # read-only buffer
     with pytest.raises(g.ShapeError):
-        g.Tensor(np.zeros((0, 2)))
+        g.Var(np.zeros((0, 2)))
     with pytest.raises(g.ParameterError):
-        g.Tensor(np.array(["a"]))
+        g.Var(np.array(["a"]))
+
+
+@pytest.mark.filterwarnings("error")
+def test_array_protocol_copies_only_when_asked():
+    v = g.Var([[1.0, 2.0], [3.0, 4.0]])
+    c = np.array(v)
+    assert c.flags.writeable and not np.shares_memory(c, v.data)
+    for view in (np.asarray(v), np.array(v, copy=False)):
+        assert np.shares_memory(view, v.data)
+        assert not view.flags.writeable
+    assert np.asarray(v, dtype=np.float32).dtype == np.float32
+    with pytest.raises(ValueError):
+        np.array(v, dtype=np.float32, copy=False)
+
+
+def test_var_of_var_shares_memory():
+    v = g.Var(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    w = g.Var(v)
+    assert w.data is v.data and not w.requires_grad
+    cast = g.Var(v, dtype=np.float32)
+    assert cast.dtype == np.float32 and not np.shares_memory(cast.data, v.data)
+    assert not hasattr(v, "value") and not hasattr(g, "Tensor")
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gradients_are_constant_read_only_vars(dtype):
+    x = g.Var(np.linspace(0.5, 2.0, 6).reshape(2, 3), requires_grad=True, dtype=dtype)
+    far = g.Var(np.ones(2), requires_grad=True, dtype=dtype)
+    # a float64 weight promotes the float32 product; the gradient comes back in x's dtype
+    loss = (x * x * np.linspace(1.0, 2.0, 3)).sum() + (far * 0.0).sum()
+    grads = g.backward(loss)
+    assert set(grads) == {x, far}
+    for leaf, grad in grads.items():
+        assert isinstance(grad, g.Var)
+        assert grad._tape is None and not grad.requires_grad
+        assert grad.dtype == dtype and grad.shape == leaf.shape
+        assert not grad.data.flags.writeable
 
 
 def test_tapes_are_freed_without_the_cycle_collector():
