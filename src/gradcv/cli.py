@@ -9,7 +9,8 @@ Inputs are binary PPM/PGM images; cameras use the plain-text format (line 1:
 fx fy cx cy; lines 2-5: the 4x4 world->camera transform).  H_FILE holds a 3x3
 homography as 9 whitespace-separated numbers mapping image-b pixels into
 image a.  Outputs land in --out: warped/attacked images plus trace.csv
-(iteration,level,loss).
+(iteration,level,loss).  A malformed input exits with code 2 and a message
+naming the subcommand, the file and what was being read.
 
 Exit codes: 0 success; 2 parameter/shape/usage errors; 3 estimation failures
 (including no RANSAC consensus); 4 optimization divergence; 5 I/O errors;
@@ -128,10 +129,25 @@ def _cmd_depth(args) -> int:
     return 0
 
 
+def _load_homography(path: str) -> np.ndarray:
+    """The 3x3 homography of a text file of 9 numbers ('#' lines are comments)."""
+    with open(path) as fh:
+        tokens = [t for ln in fh if not ln.lstrip().startswith("#") for t in ln.split()]
+    try:
+        h = np.array([float(t) for t in tokens])
+    except ValueError:
+        raise ParameterError(f"reading homography file {path}: not all entries are numbers") from None
+    if h.size != 9:
+        raise ParameterError(f"reading homography file {path}: need 9 numbers (a 3x3 matrix), got {h.size}")
+    if not np.isfinite(h).all():
+        raise ParameterError(f"reading homography file {path}: entries must be finite")
+    return h.reshape(3, 3)
+
+
 def _cmd_attack(args) -> int:
     img_a = load_image(args.img_a)
     img_b = load_image(args.img_b)
-    h_target = np.loadtxt(args.homography).reshape(3, 3)
+    h_target = _load_homography(args.homography)
     config = RunConfig(
         seed=args.seed,
         levels=args.levels,
@@ -148,7 +164,12 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    batches = [int(b) for b in args.batches.split(",") if b]
+    try:
+        batches = [int(b) for b in args.batches.split(",") if b]
+    except ValueError:
+        batches = []
+    if not batches or min(batches) < 1:
+        raise ParameterError(f"--batches must be positive integers separated by commas, got {args.batches!r}")
     rows = run_bench(args.op, batches, image_size=args.size, repeats=args.repeats)
     print("batch,median_ms,per_sample_ms")
     for r in rows:
@@ -172,16 +193,16 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except (ParameterError, ShapeError, UsageError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {args.command}: {exc}", file=sys.stderr)
         return 2
     except EstimationError as exc:
-        print(f"estimation failed: {exc}", file=sys.stderr)
+        print(f"estimation failed: {args.command}: {exc}", file=sys.stderr)
         return 3
     except OptimizationError as exc:
-        print(f"optimization failed: {exc}", file=sys.stderr)
+        print(f"optimization failed: {args.command}: {exc}", file=sys.stderr)
         return 4
     except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
+        print(f"i/o error: {args.command}: {exc}", file=sys.stderr)
         return 5
 
 

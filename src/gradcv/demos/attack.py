@@ -18,7 +18,8 @@ response maps) and descriptors are recomputed differentiably every step.
 At a refresh, `features.describe` on the detached pyramid gives the
 negative-mining descriptors and writes the dominant orientations onto the
 snapshot keypoints; the gradient pass reads them back as frozen constants.
-Both walk the pyramid levels through the same `features._per_level`.
+Both walk the pyramid levels through the same `features._per_level`, and
+describe each level with one `features._level_histograms` node.
 """
 from __future__ import annotations
 
@@ -30,17 +31,17 @@ import numpy as np
 from ..color import rgb_to_grayscale
 from ..errors import EstimationError, NoConsensusError, OptimizationError
 from ..features import (
+    _descriptors,
     _in_keypoint_order,
+    _level_histograms,
     _per_level,
     describe,
     detect,
     detect_and_describe,
-    extract_patches_at,
     hessian_pyramid,
     match_mnn,
     ransac_homography,
     refine_positions,
-    sift_describe,
 )
 from ..geometry.linalg import transform_points
 from ..imgio import save_image
@@ -116,14 +117,16 @@ def _forward(pyramid: list, keypoints: list):
     Positions are quadratic fits at the rounded snapshot locations;
     descriptors use the snapshot's subpixel centers and frozen orientations.
     """
-    pos_parts, desc_parts, order = [], [], []
+    pos_parts, hists, degenerate, order = [], [], [], []
     for level, idx, xs, ys in _per_level(pyramid, keypoints):
         px, py = refine_positions(level.response, np.rint(ys), np.rint(xs), clamp=False)
         pos_parts.append(stack([px, py], axis=1) * float(level.scale))
         thetas = np.array([keypoints[i].orientation for i in idx])
-        desc_parts.append(sift_describe(extract_patches_at(level.image, xs, ys), thetas))
+        hist, _, flags = _level_histograms(level.image, xs, ys, thetas)
+        hists.append(hist)
+        degenerate.append(flags)
         order.append(idx)
-    return _in_keypoint_order(pos_parts, order), _in_keypoint_order(desc_parts, order)
+    return _in_keypoint_order(pos_parts, order), _descriptors(hists, degenerate, order)
 
 
 def _assign_pairs(kps_a: list, kps_b: list, h_target: np.ndarray):

@@ -14,19 +14,23 @@ them by pyramid level with their centers in level pixels, and
 `_in_keypoint_order` restores their order.  `describe` and the feature-matching
 attack's gradient pass (`demos.attack`) both use it.
 
-Each level takes one patch pass.  `extract_patches_at` reads every patch as
-an integer (size+1)^2 window of the level image, behind a zero border of
-size+2 pixels, and blends its four shifted slices with the patch's one
-subpixel offset.  `describe` then takes the patch gradients once and hands
-them to both the orientation histogram and the SIFT histogram; the public
-`dominant_orientations` and `sift_describe` wrap the same two helpers.
+Each level is one blocked pass and one tape node (`_level_histograms`).  For
+a block of 16 keypoints at a time it reads each patch as an integer
+(size+1)^2 window of the level image behind a zero border and blends it with
+the patch's one subpixel offset, takes central differences by slicing, and
+computes |grad|^2 and atan2 once per pixel for both the orientation
+histogram and the SIFT votes; one bincount per block casts the votes.  The
+vjp recomputes each block.  The public `extract_patches_at`,
+`dominant_orientations` and `sift_describe` wrap the same block helpers.
 """
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import EstimationError, NoConsensusError, ParameterError, ShapeError, UsageError
 from .filters import gaussian_blur2d, pyramid_down, spatial_gradient
@@ -41,7 +45,6 @@ DESC_ORI_BINS = 8
 ORI_HIST_BINS = 36
 PYRAMID_BASE_SIGMA = 1.6
 _MAG_EPS = 1e-12
-_PATCH_BLOCK = 64  # patches per block in the patch loops, so their temporaries stay cache-sized
 
 
 @dataclass
@@ -62,10 +65,6 @@ class MatchPair:
     ia: int
     ib: int
     distance: float
-
-
-def _blocks(n: int, size: int) -> list:
-    return [slice(i, i + size) for i in range(0, n, size)]
 
 
 def _require_gray(img: Var, who: str) -> None:
@@ -144,17 +143,8 @@ def _window_extreme(r: np.ndarray, rad: int, op, fill: float) -> np.ndarray:
     return r
 
 
-def nms2d(response, window: int = 5, threshold: float = 0.0) -> list:
-    """Hard NMS: strict window maxima above `threshold` as Keypoints.
-
-    A candidate is a pixel above `threshold` that equals its window maximum
-    in a window that is not flat.  Ties inside a window go to the first
-    pixel in scan order: a candidate is dropped when any of the window^2 // 2
-    window positions before it in scan order holds its value.  Positions
-    are refined by a 1-D quadratic fit per axis, clamped to +-0.5 px (no
-    refinement along an axis at the map border).  Keypoints come in scan
-    order.
-    """
+def _nms_arrays(response, window: int, threshold: float) -> tuple:
+    """The body of :func:`nms2d`: (x, y, response) arrays of its keypoints."""
     if window < 1 or window % 2 == 0:
         raise ParameterError(f"window must be odd and positive, got {window}")
     r = as_array(response, np.float64)
@@ -184,10 +174,22 @@ def nms2d(response, window: int = 5, threshold: float = 0.0) -> list:
     off_x[inner] = _quad_offset(r[ys[inner], xs[inner] - 1], v[inner], r[ys[inner], xs[inner] + 1])
     inner = (ys > 0) & (ys < h - 1)
     off_y[inner] = _quad_offset(r[ys[inner] - 1, xs[inner]], v[inner], r[ys[inner] + 1, xs[inner]])
-    return [
-        Keypoint(x=x, y=y, response=resp)
-        for x, y, resp in zip((xs + off_x).tolist(), (ys + off_y).tolist(), v.tolist())
-    ]
+    return xs + off_x, ys + off_y, v
+
+
+def nms2d(response, window: int = 5, threshold: float = 0.0) -> list:
+    """Hard NMS: strict window maxima above `threshold` as Keypoints.
+
+    A candidate is a pixel above `threshold` that equals its window maximum
+    in a window that is not flat.  Ties inside a window go to the first
+    pixel in scan order: a candidate is dropped when any of the window^2 // 2
+    window positions before it in scan order holds its value.  Positions
+    are refined by a 1-D quadratic fit per axis, clamped to +-0.5 px (no
+    refinement along an axis at the map border).  Keypoints come in scan
+    order.
+    """
+    xs, ys, v = _nms_arrays(response, window, threshold)
+    return [Keypoint(x=x, y=y, response=resp) for x, y, resp in zip(xs.tolist(), ys.tolist(), v.tolist())]
 
 
 def refine_positions(response: Var, ys: np.ndarray, xs: np.ndarray, clamp: bool = True):
@@ -222,42 +224,272 @@ def refine_positions(response: Var, ys: np.ndarray, xs: np.ndarray, clamp: bool 
 
 
 # ---------------------------------------------------------------------------
-# orientation
+# patches, orientation and SIFT description: one blocked pass
+#
+# Every step below works on one block of _BLOCK patches while its data is
+# cache-sized: blend the patch from its integer window, take the central
+# differences, then the orientation histogram and the SIFT votes from one
+# |grad|^2 and one atan2 per pixel.  The vjps recompute each block.
 
 
-def _patch_gradients(patches: Var):
-    grad = spatial_gradient(patches, mode="diff")
-    return grad[:, :, 0], grad[:, :, 1]
+_BLOCK = 16  # patches per block, so that every block temporary stays cache-sized
+# SIFT votes land on a spatial grid with a 2-bin border that is dropped (rotated
+# patches reach 2.24 bins out), and on a 9-wide orientation axis whose bin 8 is
+# folded into bin 0, so the 8 votes of a pixel sit at 8 constant offsets
+_GRID = DESC_SPATIAL_BINS + 4
+_ORI_AXIS = DESC_ORI_BINS + 1
+_VOTE_OFFSETS = (  # (y, x, orientation) corner offsets of a pixel's votes from its first bin
+    (np.arange(2)[:, None, None] * _GRID + np.arange(2)[None, :, None]) * _ORI_AXIS + np.arange(2)
+)[..., None, None]
+_CENTER = (_GRID - 1) / 2.0  # padded-grid bin coordinate of the patch center
+_PER_RAD = DESC_ORI_BINS / (2.0 * np.pi)
+# offsets of the pixels from the patch center in bins, along a row or a column
+_AXIS = (np.arange(PATCH_SIZE) - (PATCH_SIZE - 1) / 2.0) / (PATCH_SIZE / DESC_SPATIAL_BINS)
+# descriptor window: sigma is half the patch, in bins
+_SIFT_WINDOW = np.exp(-(_AXIS * _AXIS + _AXIS[:, None] * _AXIS[:, None]) / (2.0 * (0.5 * DESC_SPATIAL_BINS) ** 2))
 
 
-def _orientations(dx: np.ndarray, dy: np.ndarray) -> tuple:
-    """(theta, degenerate) of the patch gradients dx, dy (N,1,s,s): the body
-    of :func:`dominant_orientations`."""
-    n, _, s, _ = dx.shape
-    sigma = s / 4.0  # Gaussian window: sigma = (patch/2) * 0.5
+def _blocks(n: int) -> list:
+    return [slice(i, i + _BLOCK) for i in range(0, n, _BLOCK)]
+
+
+@functools.lru_cache(maxsize=None)
+def _orientation_window(s: int) -> np.ndarray:
+    """Gaussian window of the orientation histogram: sigma = (patch/2) * 0.5."""
     c = (s - 1) / 2.0
     yy, xx = np.mgrid[0:s, 0:s]
-    gauss = np.exp(-(((xx - c) ** 2 + (yy - c) ** 2) / (2.0 * sigma**2)))
-    hist = np.empty((n, ORI_HIST_BINS))
-    for blk in _blocks(n, _PATCH_BLOCK):
-        bx, by = dx[blk, 0], dy[blk, 0]
-        wgt = np.sqrt(bx * bx + by * by) * gauss  # no eps: a constant patch stays degenerate
-        ang = np.arctan2(by, bx)
-        ang += (ang < 0) * (2.0 * np.pi)  # atan2's range wrapped to [0, 2pi), as np.mod does
-        bins = np.minimum((ang * (ORI_HIST_BINS / (2.0 * np.pi))).astype(int), ORI_HIST_BINS - 1)
-        bins += np.arange(len(bx))[:, None, None] * ORI_HIST_BINS
-        h = hist[blk]
-        h[...] = np.bincount(bins.ravel(), wgt.ravel(), h.size).reshape(h.shape)
+    window = np.exp(-(((xx - c) ** 2 + (yy - c) ** 2) / (2.0 * (s / 4.0) ** 2)))
+    window.flags.writeable = False  # shared by every caller
+    return window
+
+
+class _Windows:
+    """The patch sampler of one (H,W) image: an integer (size+1)^2 window per
+    center, read from a float64 copy of the image behind a zero border of
+    size+2 pixels with its origin clipped to it, and the patch's one subpixel
+    offset.  Offsets within 1e-8 of an integer snap to it (`kernels._snap`)."""
+
+    def __init__(self, image: np.ndarray, xs: np.ndarray, ys: np.ndarray, size: int):
+        h, w = image.shape
+        s1, b = size + 1, size + 2
+        self.size, self.shape, self.border = size, (h + 2 * b, w + 2 * b), b
+        hp, wp = self.shape
+        self.plane = np.zeros((hp, wp))
+        self.plane[b:-b, b:-b] = image
+        # top-left sample of each patch, split into an integer origin and a shared fraction
+        ox, oy = _snap(xs - (size - 1) / 2.0), _snap(ys - (size - 1) / 2.0)
+        x0, y0 = np.floor(ox), np.floor(oy)
+        self.wx, self.wy = (ox - x0)[:, None, None], (oy - y0)[:, None, None]
+        self.x0 = np.clip(x0 + b, 0, wp - s1).astype(np.int64)
+        self.y0 = np.clip(y0 + b, 0, hp - s1).astype(np.int64)
+        self.windows = sliding_window_view(self.plane, (s1, s1))
+
+    def blend(self, blk: slice) -> np.ndarray:
+        """The (B,size,size) float64 patches of a block: each of the size+1
+        window rows lerped along x, then the rows along y."""
+        win = self.windows[self.y0[blk], self.x0[blk]]
+        rows = win[:, :, 1:] - win[:, :, :-1]
+        rows *= self.wx[blk]
+        rows += win[:, :, :-1]
+        out = rows[:, 1:] - rows[:, :-1]
+        out *= self.wy[blk]
+        out += rows[:, :-1]
+        return out
+
+    def blend_adjoint(self, g: np.ndarray, blk: slice) -> np.ndarray:
+        """The window gradient (B,size+1,size+1) of the patch gradient g of a
+        block: each sample to its two rows, each row to its two columns."""
+        wx, wy = self.wx[blk], self.wy[blk]
+        g_rows = np.zeros((len(g), self.size + 1, self.size))
+        g_rows[:, :-1] = g * (1.0 - wy)
+        g_rows[:, 1:] += g * wy
+        g_win = np.zeros((len(g), self.size + 1, self.size + 1))
+        g_win[:, :, :-1] = g_rows * (1.0 - wx)
+        g_win[:, :, 1:] += g_rows * wx
+        return g_win
+
+    def image_gradient(self, g_win: np.ndarray) -> np.ndarray:
+        """One bincount of all windows' gradients into the plane, cropped to the image."""
+        b, (hp, wp) = self.border, self.shape
+        window = np.arange(self.size + 1)[:, None] * wp + np.arange(self.size + 1)  # flat offsets of one window
+        idx = (self.y0 * wp + self.x0)[:, None, None] + window
+        plane = np.bincount(idx.ravel(), g_win.ravel(), hp * wp)
+        return plane.reshape(self.shape)[b:-b, b:-b]
+
+
+def _central_difference(half: np.ndarray, out: np.ndarray) -> None:
+    """out = half[j+1] - half[j-1] along the last axis, with the edge pixel
+    repeated beyond the border."""
+    s = half.shape[-1]
+    np.subtract(half[..., 2:], half[..., :-2], out=out[..., 1:-1])
+    np.subtract(half[..., min(1, s - 1)], half[..., 0], out=out[..., 0])
+    np.subtract(half[..., -1], half[..., max(s - 2, 0)], out=out[..., -1])
+
+
+def _central_difference_adjoint(half: np.ndarray, out: np.ndarray) -> None:
+    """Add the adjoint of :func:`_central_difference` of `half` into out."""
+    out[..., 2:] += half[..., 1:-1]
+    out[..., :-2] -= half[..., 1:-1]
+    out[..., 1] += half[..., 0]
+    out[..., 0] -= half[..., 0]
+    out[..., -1] += half[..., -1]
+    out[..., -2] -= half[..., -1]
+
+
+def _gradients(p: np.ndarray) -> tuple:
+    """(dx, dy, |grad|^2, angle) of patches p (B,s,s), in p's dtype.
+
+    dx, dy are central differences with the edge pixel repeated beyond the
+    border, bit-identical to `spatial_gradient(..., mode="diff")`."""
+    half = 0.5 * p
+    dx, dy = np.empty_like(half), np.empty_like(half)
+    _central_difference(half, dx)
+    _central_difference(half.swapaxes(1, 2), dy.swapaxes(1, 2))
+    return dx, dy, dx * dx + dy * dy, np.arctan2(dy, dx)
+
+
+def _gradients_adjoint(gdx: np.ndarray, gdy: np.ndarray) -> np.ndarray:
+    """Patch gradient of the cotangents gdx, gdy of `_gradients`' dx, dy."""
+    g = np.zeros_like(gdx)
+    _central_difference_adjoint(0.5 * gdx, g)
+    _central_difference_adjoint((0.5 * gdy).swapaxes(1, 2), g.swapaxes(1, 2))
+    return g
+
+
+def _orientation_peaks(d2: np.ndarray, ang: np.ndarray) -> tuple:
+    """(theta, degenerate) per patch of a block from |grad|^2 and the angle
+    (B,s,s): the peak of the magnitude-weighted 36-bin histogram."""
+    n, s = len(d2), d2.shape[-1]
+    wgt = np.sqrt(d2) * _orientation_window(s)  # no eps: a constant patch stays degenerate
+    ang = ang + (ang < 0) * (2.0 * np.pi)  # atan2's range wrapped to [0, 2pi), as np.mod does
+    bins = np.minimum((ang * (ORI_HIST_BINS / (2.0 * np.pi))).astype(int), ORI_HIST_BINS - 1)
+    bins += np.arange(n)[:, None, None] * ORI_HIST_BINS
+    hist = np.bincount(bins.ravel(), wgt.ravel(), n * ORI_HIST_BINS).reshape(n, ORI_HIST_BINS)
     degenerate = hist.sum(axis=1) < 1e-9
     peak = hist.argmax(axis=1)
-    fm = hist[np.arange(n), (peak - 1) % ORI_HIST_BINS]
-    f0 = hist[np.arange(n), peak]
-    fp = hist[np.arange(n), (peak + 1) % ORI_HIST_BINS]
-    off = _quad_offset(fm, f0, fp)
-    theta = (peak + off) * (2.0 * np.pi / ORI_HIST_BINS)
-    theta = np.mod(theta, 2.0 * np.pi)
+    rows = np.arange(n)
+    off = _quad_offset(
+        hist[rows, (peak - 1) % ORI_HIST_BINS], hist[rows, peak], hist[rows, (peak + 1) % ORI_HIST_BINS]
+    )
+    theta = np.mod((peak + off) * (2.0 * np.pi / ORI_HIST_BINS), 2.0 * np.pi)
     theta[degenerate] = 0.0
     return theta, degenerate
+
+
+class _VoteBuffers:
+    """The arrays of one block's SIFT votes, allocated once per pass and
+    reused by every block (allocating these ~1 MB arrays afresh for each
+    block made `describe` about 15% slower)."""
+
+    def __init__(self, n: int):
+        b, s = min(n, _BLOCK), PATCH_SIZE
+        self.wy, self.wx, self.wo = np.empty((b, 2, s, s)), np.empty((b, 2, s, s)), np.empty((b, 2, s, s))
+        self.wyx = np.empty((b, 2, 2, s, s))
+        self.idx = np.empty((b, 2, 2, 2, s, s), dtype=np.int64)
+        self.votes = np.empty((b, 2, 2, 2, s, s))
+
+
+def _tent_pair(f: np.ndarray, lower: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Weights (1 - t, t), t = f - lower, of a pixel's two neighbouring bins,
+    stacked on axis 1 of out."""
+    np.subtract(f, lower, out=out[:, 1])
+    np.subtract(1.0, out[:, 1], out=out[:, 0])
+    return out
+
+
+def _vote_frame(ang: np.ndarray, thetas: np.ndarray, buf: _VoteBuffers) -> tuple:
+    """The SIFT votes of a block of (B,32,32) angles: the bin of each of a
+    pixel's 8 votes, idx (B,2,2,2,32,32) over (y, x, orientation) corners,
+    their spatial weights wyx (B,2,2,32,32) and orientation weights wo
+    (B,2,32,32), as views of buf."""
+    b = len(thetas)
+    # the grid rotated by -theta, so the descriptor frame tracks the keypoint:
+    # an outer sum of two 32-vectors per keypoint
+    cu, su = np.cos(thetas)[:, None] * _AXIS, np.sin(thetas)[:, None] * _AXIS
+    fx = cu[:, None, :] + (su + _CENTER)[:, :, None]
+    fy = (cu + _CENTER)[:, :, None] - su[:, None, :]
+    lx, ly = np.floor(fx), np.floor(fy)
+    wy, wx = _tent_pair(fy, ly, buf.wy[:b]), _tent_pair(fx, lx, buf.wx[:b])
+    wyx = np.multiply(wy[:, :, None], wx[:, None], out=buf.wyx[:b])
+    fo = ang - thetas[:, None, None]
+    fo *= _PER_RAD
+    lo = np.floor(fo)
+    wo = _tent_pair(fo, lo, buf.wo[:b])
+    # the first bin of each pixel; DESC_ORI_BINS is a power of two, so & wraps negative bins
+    ly *= _GRID
+    ly += lx
+    ly *= _ORI_AXIS
+    ly += (np.arange(b) * (_GRID * _GRID * _ORI_AXIS))[:, None, None]
+    first = ly.astype(np.int64)
+    first += lo.astype(np.int64) & (DESC_ORI_BINS - 1)
+    idx = np.add(first[:, None, None, None], _VOTE_OFFSETS, out=buf.idx[:b])
+    return idx, wyx, wo
+
+
+def _histogram_pass(n: int, patch_of, thetas=None) -> tuple:
+    """Raw (N,128) float64 SIFT histograms of N 32x32 patches, block by block.
+
+    patch_of(blk) gives the patches (B,32,32) of a block.  With thetas None
+    each patch takes the dominant orientation of its gradients.  Each pixel
+    adds |grad| * Gaussian * wy * wx * wo to bin (by*4+bx)*8+o of its 2x2
+    spatial bins (theta-rotated) and 2 orientation bins (modulo 8).  Returns
+    (histograms, thetas, degenerate), degenerate where a patch is constant.
+    """
+    orient = thetas is None
+    if orient:
+        thetas = np.empty(n)
+    hist = np.empty((n, _GRID, _GRID, _ORI_AXIS))
+    degenerate = np.empty(n, dtype=bool)
+    buf = _VoteBuffers(n)
+    for blk in _blocks(n):
+        dx, dy, d2, ang = _gradients(patch_of(blk))
+        degenerate[blk] = (np.abs(dx).max(axis=(1, 2)) + np.abs(dy).max(axis=(1, 2))) < 1e-12
+        if orient:
+            thetas[blk] = _orientation_peaks(d2, ang)[0]
+        idx, wyx, wo = _vote_frame(ang, thetas[blk], buf)
+        wo *= (_SIFT_WINDOW * np.sqrt(d2 + _MAG_EPS))[:, None]
+        votes = np.multiply(wyx[:, :, :, None], wo[:, None, None], out=buf.votes[: len(wo)])
+        h = hist[blk]
+        h[...] = np.bincount(idx.ravel(), votes.ravel(), h.size).reshape(h.shape)
+    hist[..., 0] += hist[..., -1]
+    return hist[:, 2:-2, 2:-2, :-1].reshape(n, -1), thetas, degenerate
+
+
+def _histogram_vjp(g: np.ndarray, patch_of, thetas: np.ndarray, emit) -> None:
+    """Backward of :func:`_histogram_pass` at fixed thetas: for each block,
+    gather the <= 8 bins of every pixel, fold them back through atan2 and
+    sqrt, then through the central differences, and hand the patch gradient
+    (B,32,32) to emit(blk, g_patch)."""
+    n = len(thetas)
+    padded = np.zeros((n, _GRID, _GRID, _ORI_AXIS))
+    padded[:, 2:-2, 2:-2, :-1] = g.reshape(n, DESC_SPATIAL_BINS, DESC_SPATIAL_BINS, DESC_ORI_BINS)
+    padded[..., -1] = padded[..., 0]
+    buf = _VoteBuffers(n)
+    for blk in _blocks(n):
+        dx, dy, d2, ang = _gradients(patch_of(blk))
+        idx, wyx, wo = _vote_frame(ang, thetas[blk], buf)
+        gathered = np.take(padded[blk], idx, out=buf.votes[: len(wo)])
+        gathered *= wyx[:, :, :, None]
+        gs = gathered.sum(axis=(1, 2))  # (B,2,32,32)
+        # d/d(|grad| * window), and d/d(angle) divided by |grad| * window; an angle
+        # exactly on a bin center (a kink of its tent) takes the zero slope
+        g_mag = gs[:, 0] * wo[:, 0] + gs[:, 1] * wo[:, 1]
+        g_ang = (gs[:, 1] - gs[:, 0]) * ((wo[:, 1] > 0) * _PER_RAD)
+        # |grad| moves by (dx, dy) / |grad|, the angle by (-dy, dx) / |grad|^2
+        scale = _SIFT_WINDOW / np.sqrt(d2 + _MAG_EPS)
+        emit(blk, _gradients_adjoint((g_mag * dx - g_ang * dy) * scale, (g_mag * dy + g_ang * dx) * scale))
+
+
+def _normalized(hist: Var, degenerate: np.ndarray) -> Var:
+    """Descriptors from raw histograms: L2-normalize -> clamp at 0.2 ->
+    re-normalize; degenerate rows are zero."""
+    norm = sqrt((hist * hist).sum(axis=1, keepdims=True) + _MAG_EPS)
+    desc = (hist / norm).clamp(hi=0.2)
+    norm2 = sqrt((desc * desc).sum(axis=1, keepdims=True) + _MAG_EPS)
+    desc = desc / norm2
+    if degenerate.any():
+        desc = where(np.broadcast_to(~degenerate[:, None], desc.shape), desc, 0.0)
+    return desc
 
 
 def dominant_orientations(patches) -> tuple:
@@ -269,11 +501,14 @@ def dominant_orientations(patches) -> tuple:
     """
     patches = as_var(patches)
     _require_gray(patches, "dominant_orientations")
-    _, _, s, s2 = patches.shape
+    n, _, s, s2 = patches.shape
     if s != s2:
         raise ShapeError(f"patches must be square, got {s}x{s2}")
-    dx, dy = _patch_gradients(patches)
-    return _orientations(dx.data, dy.data)
+    theta, degenerate = np.empty(n), np.empty(n, dtype=bool)
+    for blk in _blocks(n):
+        _, _, d2, ang = _gradients(patches.data[blk, 0])
+        theta[blk], degenerate[blk] = _orientation_peaks(d2, ang)
+    return theta, degenerate
 
 
 def dominant_orientation(patch) -> tuple:
@@ -285,79 +520,14 @@ def dominant_orientation(patch) -> tuple:
     return float(theta[0]), bool(degenerate[0])
 
 
-# ---------------------------------------------------------------------------
-# SIFT description
-
-
-_DESC_BLOCK = 16  # keypoints binned per block, so every block temporary stays cache-sized
-# votes land on a grid with a 2-bin border that is dropped (rotated patches reach 2.24 bins out)
-_GRID = DESC_SPATIAL_BINS + 4
-_CORNERS = np.array([0, 1, _GRID, _GRID + 1])[:, None, None] * DESC_ORI_BINS  # y0x0 y0x1 y1x0 y1x1
-
-
-def _sift_histogram(dx: Var, dy: Var, thetas: np.ndarray) -> Var:
-    """Raw (N,128) SIFT histograms of per-pixel gradients dx, dy (N,P).
-
-    Each pixel adds |grad| * Gaussian * wy * wx * wo to bin (by*4+bx)*8+o of its
-    2x2 spatial bins (theta-rotated) and 2 orientation bins (modulo 8).  The vjp
-    gathers the same <= 8 bins per pixel and folds them back through atan2 and sqrt.
-    The votes accumulate in float64; the histogram and both gradients have the
-    dtypes of dx and dy.
-    """
-    dxa, dya = dx.data, dy.data
-    n, p = dxa.shape
-    spacing = PATCH_SIZE / DESC_SPATIAL_BINS  # offsets from the patch center are in bins
-    v, u = (np.indices((PATCH_SIZE, PATCH_SIZE)).reshape(2, p) - (PATCH_SIZE - 1) / 2.0) / spacing
-    gauss = np.exp(-(u * u + v * v) / (2.0 * (0.5 * DESC_SPATIAL_BINS) ** 2))  # sigma: half the patch
-    center = (_GRID - 1) / 2.0  # padded-grid bin coordinate of the patch center
-    per_rad = DESC_ORI_BINS / (2.0 * np.pi)
-    mag = np.sqrt(dxa * dxa + dya * dya + _MAG_EPS)
-    blocks = _blocks(n, _DESC_BLOCK)
-
-    def votes(blk):
-        # rotate offsets by -theta so the descriptor frame tracks the keypoint
-        cos_t, sin_t = np.cos(thetas[blk, None]), np.sin(thetas[blk, None])
-        fx, fy = cos_t * u + sin_t * v + center, cos_t * v - sin_t * u + center
-        lx, ly = np.floor(fx), np.floor(fy)
-        wy = np.stack([ly + 1.0 - fy, fy - ly]) * gauss
-        sw = (wy[:, None] * np.stack([lx + 1.0 - fx, fx - lx])).reshape(4, len(cos_t), p)
-        cell = (ly * _GRID + lx + np.arange(len(cos_t))[:, None] * _GRID**2) * DESC_ORI_BINS
-        fo = (np.arctan2(dya[blk], dxa[blk]) - thetas[blk, None]) * per_rad
-        lo = np.floor(fo)
-        # DESC_ORI_BINS is a power of two, so & wraps negative bins as well
-        ori = (lo.astype(np.int64) + np.arange(2)[:, None, None]) & (DESC_ORI_BINS - 1)
-        idx = (cell.astype(np.int64) + _CORNERS)[:, None] + ori  # (4,2,B,P)
-        # an angle exactly on a bin center (a kink of its tent) takes the zero slope
-        return idx, sw, np.stack([lo + 1.0 - fo, fo - lo]), (fo > lo) * per_rad
-
-    hist = np.empty((n, _GRID, _GRID, DESC_ORI_BINS))
-    for blk in blocks:
-        idx, sw, wo, _ = votes(blk)
-        h = hist[blk]
-        h[...] = np.bincount(idx.ravel(), (sw[:, None] * (wo * mag[blk])).ravel(), h.size).reshape(h.shape)
-
-    def vjp(g):
-        padded = np.pad(g.reshape(n, DESC_SPATIAL_BINS, DESC_SPATIAL_BINS, -1), [(0, 0), (2, 2), (2, 2), (0, 0)])
-        g_mag, g_ang = np.empty_like(mag), np.empty_like(mag)
-        for blk in blocks:
-            idx, sw, wo, slope = votes(blk)
-            gs = (padded[blk].ravel()[idx] * sw[:, None]).sum(axis=0)  # (2,B,P)
-            g_mag[blk] = gs[0] * wo[0] + gs[1] * wo[1]
-            g_ang[blk] = (gs[1] - gs[0]) * slope  # d/d(angle), divided by |grad|
-        # |grad| moves by (dx, dy) / |grad|, the angle by (-dy, dx) / |grad|^2
-        gdx, gdy = (g_mag * dxa - g_ang * dya) / mag, (g_mag * dya + g_ang * dxa) / mag
-        return gdx.astype(dxa.dtype, copy=False), gdy.astype(dya.dtype, copy=False)
-
-    return _record(hist[:, 2:-2, 2:-2].reshape(n, -1).astype(dxa.dtype, copy=False), (dx, dy), vjp)
-
-
 def sift_describe(patches, orientations=None) -> Var:
     """128-D SIFT descriptors for (N,1,32,32) patches (or one 32x32 patch).
 
     4x4 spatial x 8 orientation bins filled by sparse trilinear voting
-    (:func:`_sift_histogram`), then L2-normalize -> clamp at 0.2 ->
+    (:func:`_histogram_pass`), then L2-normalize -> clamp at 0.2 ->
     re-normalize.  Differentiable w.r.t. the patches; orientations are
-    per-patch constants.  Constant patches yield the zero vector.
+    per-patch constants.  Constant patches yield the zero vector.  The votes
+    accumulate in float64; descriptors and gradient have the patches' dtype.
     """
     pv = as_var(patches)
     if pv.ndim == 2:
@@ -371,25 +541,20 @@ def sift_describe(patches, orientations=None) -> Var:
         raise ShapeError(f"need {n} orientations, got shape {thetas.shape}")
     if not np.isfinite(thetas).all():
         raise ParameterError("orientations must be finite")
+    data, dtype = pv.data, pv.dtype
+    patch_of = lambda blk: data[blk, 0]
+    hist, _, degenerate = _histogram_pass(n, patch_of, thetas)
 
-    return _describe_gradients(*_patch_gradients(pv), thetas)
+    def vjp(g):
+        g_patches = np.empty((n, 1, s, s), dtype=dtype)
 
+        def emit(blk, g_blk):
+            g_patches[blk, 0] = g_blk
 
-def _describe_gradients(dx: Var, dy: Var, thetas: np.ndarray) -> Var:
-    """SIFT descriptors from the patch gradients dx, dy (N,1,32,32): the body
-    of :func:`sift_describe`."""
-    n = dx.shape[0]
-    degenerate = (np.abs(dx.data).max(axis=(1, 2, 3)) + np.abs(dy.data).max(axis=(1, 2, 3))) < 1e-12
-    desc = _sift_histogram(dx.reshape((n, -1)), dy.reshape((n, -1)), thetas)
+        _histogram_vjp(g, patch_of, thetas, emit)
+        return (g_patches,)
 
-    norm = sqrt((desc * desc).sum(axis=1, keepdims=True) + _MAG_EPS)
-    desc = desc / norm
-    desc = desc.clamp(hi=0.2)
-    norm2 = sqrt((desc * desc).sum(axis=1, keepdims=True) + _MAG_EPS)
-    desc = desc / norm2
-    if degenerate.any():
-        desc = where(np.broadcast_to(~degenerate[:, None], desc.shape), desc, 0.0)
-    return desc
+    return _normalized(_record(hist.astype(dtype, copy=False), (pv,), vjp), degenerate)
 
 
 # ---------------------------------------------------------------------------
@@ -571,46 +736,19 @@ def extract_patches_at(img, xs, ys, size: int = PATCH_SIZE) -> Var:
         raise ShapeError(f"need as many x as y centers, got {len(xs)} and {len(ys)}")
     if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
         raise ParameterError("patch centers must be finite")
-    m, s1 = len(xs), size + 1
-    _, _, h, w = img.shape
-    b = size + 2
-    hp, wp = h + 2 * b, w + 2 * b
-    plane = np.zeros((hp, wp))
-    plane[b:-b, b:-b] = img.data[0, 0]
-    # top-left sample of each patch, split into an integer origin and a shared fraction
-    ox, oy = _snap(xs - (size - 1) / 2.0), _snap(ys - (size - 1) / 2.0)
-    x0, y0 = np.floor(ox), np.floor(oy)
-    wx, wy = (ox - x0)[:, None, None], (oy - y0)[:, None, None]
-    origin = (np.clip(y0 + b, 0, hp - s1) * wp + np.clip(x0 + b, 0, wp - s1)).astype(np.int64)
-    window = np.arange(s1)[:, None] * wp + np.arange(s1)  # flat offsets of one (s1,s1) window
-    out = np.empty((m, size, size))
-    for blk in _blocks(m, _PATCH_BLOCK):
-        win = np.take(plane, origin[blk, None, None] + window)
-        # in place: each of the s1 rows lerped along x, then the rows along y
-        rows = win[:, :, 1:] - win[:, :, :-1]
-        rows *= wx[blk]
-        rows += win[:, :, :-1]
-        o = out[blk]
-        np.subtract(rows[:, 1:], rows[:, :-1], out=o)
-        o *= wy[blk]
-        o += rows[:, :-1]
-    x_dtype = img.dtype
+    windows = _Windows(img.data[0, 0], xs, ys, size)
+    m, x_dtype = len(xs), img.dtype
+    out = np.empty((m, 1, size, size), dtype=x_dtype)
+    for blk in _blocks(m):
+        out[blk, 0] = windows.blend(blk)
+
+    img_shape = img.shape
 
     def vjp(g):
-        # the two lerps backwards: each sample to its two rows, each row to its two columns,
-        # then one bincount over the windows' pixels, cropped to the image
-        idx = origin[:, None, None] + window  # (M,s1,s1)
-        g = g.reshape(m, size, size)
-        g_rows = np.zeros((m, s1, size))
-        g_rows[:, :-1] = g * (1.0 - wy)
-        g_rows[:, 1:] += g * wy
-        g_win = np.zeros((m, s1, s1))
-        g_win[:, :, :-1] = g_rows * (1.0 - wx)
-        g_win[:, :, 1:] += g_rows * wx
-        g_img = np.bincount(idx.ravel(), g_win.ravel(), hp * wp).reshape(hp, wp)[b:-b, b:-b]
-        return (g_img.reshape(1, 1, h, w).astype(x_dtype, copy=False),)
+        g_win = windows.blend_adjoint(g.reshape(m, size, size), slice(None))
+        return (windows.image_gradient(g_win).reshape(img_shape).astype(x_dtype, copy=False),)
 
-    return _record(out.reshape(m, 1, size, size).astype(x_dtype, copy=False), (img,), vjp)
+    return _record(out, (img,), vjp)
 
 
 @dataclass
@@ -656,23 +794,20 @@ def detect(
     if pyramid is None:
         pyramid = hessian_pyramid(img, levels)
     margin = PATCH_SIZE // 2 + 1
-    kps = []
+    found = []  # (x, y, response, level) per level, at full resolution
     for lvl, level in enumerate(pyramid):
         h, w = level.response.shape[2:]
-        for kp in nms2d(level.response.data, window=nms_window, threshold=threshold):
-            if not (margin <= kp.x <= w - 1 - margin and margin <= kp.y <= h - 1 - margin):
-                continue
-            kps.append(
-                Keypoint(
-                    x=kp.x * level.scale,
-                    y=kp.y * level.scale,
-                    scale=PYRAMID_BASE_SIGMA * level.scale,
-                    response=kp.response,
-                    level=lvl,
-                )
-            )
-    kps.sort(key=lambda k: -k.response)
-    return kps[:max_keypoints]
+        xs, ys, v = _nms_arrays(level.response.data, nms_window, threshold)
+        inside = (margin <= xs) & (xs <= w - 1 - margin) & (margin <= ys) & (ys <= h - 1 - margin)
+        found.append((xs[inside] * level.scale, ys[inside] * level.scale, v[inside], np.full(inside.sum(), lvl)))
+    if not found:
+        return []
+    xs, ys, v, lvls = (np.concatenate(col) for col in zip(*found))
+    keep = np.argsort(-v, kind="stable")[:max_keypoints]  # strongest first, ties in level and scan order
+    return [
+        Keypoint(x=x, y=y, scale=PYRAMID_BASE_SIGMA * pyramid[lvl].scale, response=resp, level=lvl)
+        for x, y, resp, lvl in zip(xs[keep].tolist(), ys[keep].tolist(), v[keep].tolist(), lvls[keep].tolist())
+    ]
 
 
 def _per_level(pyramid: list, keypoints: list):
@@ -693,6 +828,42 @@ def _in_keypoint_order(parts: list, order: list) -> Var:
     return stacked[np.argsort(np.concatenate(order))]
 
 
+def _level_histograms(image: Var, xs: np.ndarray, ys: np.ndarray, thetas=None) -> tuple:
+    """Raw (M,128) SIFT histograms of the 32x32 patches centered at (xs, ys)
+    of a level image, as one tape node whose only parent is the image.
+
+    Each block of patches is blended from its windows, differentiated and
+    voted in one pass (:func:`_histogram_pass`); with thetas None the patches
+    take their dominant orientations.  The vjp recomputes each block, runs
+    the votes, the central differences and the blend backwards, and ends in
+    one bincount over all windows.  Returns (histograms, thetas, degenerate).
+    """
+    if image.shape[0] != 1:
+        raise ShapeError(f"keypoints are described on one image, got a batch of {image.shape[0]}")
+    windows = _Windows(image.data[0, 0], xs, ys, PATCH_SIZE)
+    dtype, img_shape = image.dtype, image.shape
+    patch_of = lambda blk: windows.blend(blk).astype(dtype, copy=False)
+    hist, thetas, degenerate = _histogram_pass(len(xs), patch_of, thetas)
+
+    def vjp(g):
+        g_win = np.empty((len(thetas), PATCH_SIZE + 1, PATCH_SIZE + 1))
+
+        def emit(blk, g_blk):
+            g_win[blk] = windows.blend_adjoint(g_blk, blk)
+
+        _histogram_vjp(g, patch_of, thetas, emit)
+        return (windows.image_gradient(g_win).reshape(img_shape).astype(dtype, copy=False),)
+
+    return _record(hist.astype(dtype, copy=False), (image,), vjp), thetas, degenerate
+
+
+def _descriptors(hists: list, degenerate: list, order: list) -> Var:
+    """Normalized descriptors in keypoint order from per-level raw histograms
+    and degenerate flags (hists[j] and degenerate[j] belong to indices order[j])."""
+    flags = np.concatenate(degenerate)[np.argsort(np.concatenate(order))]
+    return _normalized(_in_keypoint_order(hists, order), flags)
+
+
 def describe(img, keypoints, pyramid=None) -> Var:
     """SIFT descriptors (M,128) for detected keypoints, in keypoint order.
 
@@ -709,16 +880,15 @@ def describe(img, keypoints, pyramid=None) -> Var:
     missing = sorted({k.level for k in keypoints} - set(range(len(pyramid))))
     if missing:
         raise ParameterError(f"keypoint levels {missing} are not in the {len(pyramid)}-level pyramid")
-    parts, order = [], []
+    hists, degenerate, order = [], [], []
     for level, idx, xs, ys in _per_level(pyramid, keypoints):
-        # one gradient pass per level feeds both the orientation and the descriptor
-        dx, dy = _patch_gradients(extract_patches_at(level.image, xs, ys))
-        thetas, _ = _orientations(dx.data, dy.data)
+        hist, thetas, flags = _level_histograms(level.image, xs, ys)
         for i, th in zip(idx, thetas.tolist()):
             keypoints[i].orientation = th
-        parts.append(_describe_gradients(dx, dy, thetas))
+        hists.append(hist)
+        degenerate.append(flags)
         order.append(idx)
-    return _in_keypoint_order(parts, order)
+    return _descriptors(hists, degenerate, order)
 
 
 def detect_and_describe(

@@ -90,11 +90,26 @@ def save_camera(path: str | os.PathLike, cam: PinholeCamera) -> None:
             fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
 
 
+def _camera_row(path, n: int, line: str, count: int) -> list:
+    try:
+        values = [float(v) for v in line.split()]
+    except ValueError:
+        values = []
+    if len(values) != count or not np.isfinite(values).all():
+        raise ParameterError(f"reading camera file {path}: data line {n} must hold {count} finite numbers, got {line!r}")
+    return values
+
+
 def load_camera(path: str | os.PathLike, size=(0, 0)) -> PinholeCamera:
+    """Read a camera file; a malformed file raises ParameterError naming it."""
+    path = os.fspath(path)
     with open(path) as fh:
         lines = [ln for ln in (l.strip() for l in fh) if ln and not ln.startswith("#")]
     if len(lines) < 5:
-        raise ParameterError(f"camera file {path} needs 5 lines, got {len(lines)}")
-    fx, fy, cx, cy = (float(v) for v in lines[0].split())
-    t = np.array([[float(v) for v in ln.split()] for ln in lines[1:5]])
-    return make_camera(fx, fy, cx, cy, t, size)
+        raise ParameterError(f"reading camera file {path}: needs 5 data lines, got {len(lines)}")
+    fx, fy, cx, cy = _camera_row(path, 1, lines[0], 4)
+    t = np.array([_camera_row(path, i, ln, 4) for i, ln in enumerate(lines[1:5], start=2)])
+    try:
+        return make_camera(fx, fy, cx, cy, t, size)
+    except (ParameterError, ShapeError) as exc:
+        raise ParameterError(f"reading camera file {path}: {exc}") from None

@@ -32,14 +32,27 @@ def _read_tokens(buf: bytes, count: int):
 
 
 def read_pnm(path: str | os.PathLike) -> np.ndarray:
-    """Read a binary PPM/PGM file to float64 in [0,1]; HW or HWC layout."""
+    """Read a binary PPM/PGM file to float64 in [0,1]; HW or HWC layout.
+
+    A malformed file raises ParameterError naming the file."""
     with open(path, "rb") as fh:
         buf = fh.read()
+    try:
+        return _parse_pnm(buf)
+    except ParameterError as exc:
+        raise ParameterError(f"reading PNM file {os.fspath(path)}: {exc}") from None
+
+
+def _parse_pnm(buf: bytes) -> np.ndarray:
     (magic, *rest), _ = _read_tokens(buf, 1)
     if magic not in (b"P5", b"P6"):
         raise ParameterError(f"unsupported PNM magic {magic!r} (want P5/P6)")
     tokens, offset = _read_tokens(buf, 4)
+    if not all(t.isdigit() for t in tokens[1:4]):
+        raise ParameterError(f"width, height and maxval must be integers, got {b' '.join(tokens[1:4])!r}")
     w, h, maxval = (int(t) for t in tokens[1:4])
+    if w < 1 or h < 1:
+        raise ParameterError(f"image size must be at least 1x1, got {w}x{h}")
     if maxval not in (255, 65535):
         raise ParameterError(f"unsupported maxval {maxval}")
     channels = 3 if magic == b"P6" else 1

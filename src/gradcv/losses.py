@@ -132,11 +132,6 @@ def focal_loss(logits, target, gamma: float = 2.0, alpha: float = 1.0) -> Var:
     return mean(focal)
 
 
-def cross_entropy(logits, target) -> Var:
-    """Plain softmax cross-entropy (focal loss with gamma=0, alpha=1)."""
-    return focal_loss(logits, target, gamma=0.0, alpha=1.0)
-
-
 def _check_distribution(p: Var, axis: int, who: str) -> None:
     arr = p.data
     if arr.min() < -1e-9:

@@ -118,3 +118,47 @@ def test_bench_cli(tmp_path, capsys):
     assert code == 0
     assert (out / "bench.csv").exists()
     assert "per_sample_ms" in capsys.readouterr().out
+
+
+# --- malformed inputs: exit code 2, and the message names the stage and the file --------
+
+
+def test_register_cli_malformed_image(tmp_path, capsys):
+    bad = tmp_path / "bad.pgm"
+    bad.write_bytes(b"P5\nabc 16\n255\n" + bytes(256))
+    assert main(["register", str(bad), str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "register" in err and "reading PNM file" in err and str(bad) in err
+
+
+def test_depth_cli_malformed_camera(tmp_path, capsys):
+    views, _ = synthetic.plane_scene(height=32, width=40, focal=40.0, seed=3)
+    paths = []
+    for i, (img, cam) in enumerate(views[:2]):
+        ip, cp = tmp_path / f"v{i}.pgm", tmp_path / f"v{i}.cam"
+        g.save_image(ip, img)
+        save_camera(cp, cam)
+        paths += [str(ip), str(cp)]
+    lines = (tmp_path / "v1.cam").read_text().splitlines()
+    (tmp_path / "v1.cam").write_text("\n".join(["40 40 20"] + lines[1:]) + "\n")  # 3 intrinsics
+    assert main(["depth", *paths, "--levels", "1", "--iters", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "depth" in err and "reading camera file" in err and str(tmp_path / "v1.cam") in err
+
+
+@pytest.mark.parametrize("rows", [np.eye(3)[:2], np.array([[1.0, 0, 0], [0, 1, 0], [0, 0, np.nan]])])
+def test_attack_cli_malformed_homography(tmp_path, capsys, rows):
+    img = tmp_path / "a.pgm"
+    g.save_image(img, synthetic.smooth_texture(48, 48, seed=5))
+    h = tmp_path / "h.txt"
+    np.savetxt(h, rows)
+    assert main(["attack", str(img), str(img), str(h), "--iters", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "attack" in err and "reading homography file" in err and str(h) in err
+
+
+@pytest.mark.parametrize("batches", ["1,x", "0,2", ","])
+def test_bench_cli_malformed_batches(capsys, batches):
+    assert main(["bench", "--batches", batches, "--size", "8", "--repeats", "3"]) == 2
+    err = capsys.readouterr().err
+    assert "bench" in err and "--batches" in err and repr(batches) in err

@@ -98,6 +98,18 @@ def test_depth_small_smoke_decreases_loss():
     assert res.depth.data.min() > 0
 
 
+@pytest.mark.parametrize("seed", [10, 3, 13])
+def test_depth_benchmark_setup_keeps_its_check(seed):
+    # the benchmark's depth set-up on the three seeds of 0-39 whose final/initial
+    # loss ratio is highest (0.782, 0.780, 0.757): a drift in the float64
+    # rounding of the depth path shows here before it fails a benchmark run
+    views, _ = synthetic.plane_scene(60, 80, depth=2.0, baselines=(-0.1, 0.1), focal=80.0, seed=seed)
+    res = estimate_depth(views, RunConfig(levels=3, iters=30, lr=15.0, optimizer="sgd_momentum"))
+    assert np.isfinite([t[2] for t in res.trace]).all()
+    assert res.depth.data.min() > 0
+    assert res.final_loss <= 0.8 * res.initial_loss
+
+
 def test_depth_writes_outputs(tmp_path):
     views, _ = synthetic.plane_scene(height=40, width=48, seed=9, focal=48.0)
     out = tmp_path / "depth"
@@ -197,6 +209,23 @@ def test_attack_gradient_pass_describes_like_describe():
     pos, desc_grad = attack_module._forward(pyramid, kps)
     assert np.array_equal(desc_grad.data, desc.data)
     assert pos.shape == (len(kps), 2)
+
+
+def test_attack_gradient_pass_uses_the_frozen_orientations():
+    # between refreshes the gradient pass describes with the snapshot's
+    # orientations, not with the current patches' dominant ones
+    attack_module = importlib.import_module("gradcv.demos.attack")
+    img_a, _, _ = _attack_inputs(seed=12)
+    pyramid = features.hessian_pyramid(attack_module._to_gray(img_a).detach(), 3)
+    kps = attack_module._snapshot(pyramid, RunConfig(max_keypoints=60))
+    for k, theta in zip(kps, np.random.default_rng(12).uniform(0.0, 2.0 * np.pi, len(kps))):
+        k.orientation = float(theta)
+    _, desc = attack_module._forward(pyramid, kps)
+    want = np.empty(desc.shape)
+    for level, idx, xs, ys in features._per_level(pyramid, kps):
+        thetas = np.array([kps[i].orientation for i in idx])
+        want[idx] = features.sift_describe(features.extract_patches_at(level.image, xs, ys), thetas).data
+    assert np.array_equal(desc.data, want)
 
 
 def test_attack_honours_config_optimizer(monkeypatch):

@@ -298,13 +298,86 @@ def test_sift_gradcheck(seed):
     gradcheck(f, [patch], rtol=1e-3)
 
 
-# --- sparse SIFT binning vs the dense formulas ----------------------------------------
-# Dense reference: every pixel evaluates all 8 orientation tents and all 16
-# spatial tents, contracted by a batched matmul.  Swapped in for
-# ft._sift_histogram, it is what the sparse voting must reproduce up to rounding.
+# --- the former describe chain, kept as the reference of the blocked pass -------------
+# describe and the attack's gradient pass run one blocked node per pyramid level
+# (ft._level_histograms), and sift_describe runs the same blocks on given patches.
+# The references below are the chain that node replaced, one op per step:
+# extract_patches_at -> spatial_gradient -> orientation histogram -> SIFT votes
+# (the former sparse votes, or the dense formulas) -> normalize.
+
+
+def _chain_orientations(patches):
+    """The former orientation step on spatial_gradient's patch gradients."""
+    grad = spatial_gradient(g.Var(patches), mode="diff").data
+    dx, dy = grad[:, 0, 0], grad[:, 0, 1]
+    n, s = len(dx), dx.shape[-1]
+    c = (s - 1) / 2.0
+    yy, xx = np.mgrid[0:s, 0:s]
+    gauss = np.exp(-(((xx - c) ** 2 + (yy - c) ** 2) / (2.0 * (s / 4.0) ** 2)))
+    wgt = np.sqrt(dx * dx + dy * dy) * gauss
+    ang = np.arctan2(dy, dx)
+    ang += (ang < 0) * (2.0 * np.pi)
+    bins = np.minimum((ang * (ft.ORI_HIST_BINS / (2.0 * np.pi))).astype(int), ft.ORI_HIST_BINS - 1)
+    bins += np.arange(n)[:, None, None] * ft.ORI_HIST_BINS
+    hist = np.bincount(bins.ravel(), wgt.ravel(), n * ft.ORI_HIST_BINS).reshape(n, ft.ORI_HIST_BINS)
+    degenerate = hist.sum(axis=1) < 1e-9
+    peak = hist.argmax(axis=1)
+    rows = np.arange(n)
+    off = ft._quad_offset(
+        hist[rows, (peak - 1) % ft.ORI_HIST_BINS], hist[rows, peak], hist[rows, (peak + 1) % ft.ORI_HIST_BINS]
+    )
+    theta = np.mod((peak + off) * (2.0 * np.pi / ft.ORI_HIST_BINS), 2.0 * np.pi)
+    theta[degenerate] = 0.0
+    return theta
+
+
+def _sparse_histogram(dx, dy, thetas):
+    """The former sparse SIFT votes: one tape op on the flattened patch
+    gradients dx, dy (N,P), 8 votes per pixel on an 8-wide orientation axis."""
+    dxa, dya = dx.data, dy.data
+    n, p = dxa.shape
+    grid = ft.DESC_SPATIAL_BINS + 4
+    corners = np.array([0, 1, grid, grid + 1])[:, None, None] * ft.DESC_ORI_BINS
+    v, u = (np.indices((32, 32)).reshape(2, p) - 15.5) / 8.0
+    gauss = np.exp(-(u * u + v * v) / 8.0)
+    per_rad = ft.DESC_ORI_BINS / (2.0 * np.pi)
+    mag = np.sqrt(dxa * dxa + dya * dya + 1e-12)
+    blocks = [slice(i, i + 16) for i in range(0, n, 16)]
+
+    def votes(blk):
+        cos_t, sin_t = np.cos(thetas[blk, None]), np.sin(thetas[blk, None])
+        fx, fy = cos_t * u + sin_t * v + 3.5, cos_t * v - sin_t * u + 3.5
+        lx, ly = np.floor(fx), np.floor(fy)
+        wy = np.stack([ly + 1.0 - fy, fy - ly]) * gauss
+        sw = (wy[:, None] * np.stack([lx + 1.0 - fx, fx - lx])).reshape(4, len(cos_t), p)
+        cell = (ly * grid + lx + np.arange(len(cos_t))[:, None] * grid**2) * ft.DESC_ORI_BINS
+        fo = (np.arctan2(dya[blk], dxa[blk]) - thetas[blk, None]) * per_rad
+        lo = np.floor(fo)
+        ori = (lo.astype(np.int64) + np.arange(2)[:, None, None]) & (ft.DESC_ORI_BINS - 1)
+        idx = (cell.astype(np.int64) + corners)[:, None] + ori
+        return idx, sw, np.stack([lo + 1.0 - fo, fo - lo]), (fo > lo) * per_rad
+
+    hist = np.empty((n, grid, grid, ft.DESC_ORI_BINS))
+    for blk in blocks:
+        idx, sw, wo, _ = votes(blk)
+        h = hist[blk]
+        h[...] = np.bincount(idx.ravel(), (sw[:, None] * (wo * mag[blk])).ravel(), h.size).reshape(h.shape)
+
+    def vjp(gr):
+        padded = np.pad(gr.reshape(n, 4, 4, -1), [(0, 0), (2, 2), (2, 2), (0, 0)])
+        g_mag, g_ang = np.empty_like(mag), np.empty_like(mag)
+        for blk in blocks:
+            idx, sw, wo, slope = votes(blk)
+            gs = (padded[blk].ravel()[idx] * sw[:, None]).sum(axis=0)
+            g_mag[blk] = gs[0] * wo[0] + gs[1] * wo[1]
+            g_ang[blk] = (gs[1] - gs[0]) * slope
+        return (g_mag * dxa - g_ang * dya) / mag, (g_mag * dya + g_ang * dxa) / mag
+
+    return _record(hist[:, 2:-2, 2:-2].reshape(n, -1).astype(dxa.dtype, copy=False), (dx, dy), vjp)
 
 
 def _dense_orientation_votes(dx, dy, thetas):
+    """Dense reference: every pixel evaluates all 8 orientation tents."""
     bw = 2.0 * np.pi / ft.DESC_ORI_BINS
     centers = np.arange(ft.DESC_ORI_BINS) * bw
     dxa, dya = dx.data, dy.data
@@ -325,6 +398,7 @@ def _dense_orientation_votes(dx, dy, thetas):
 
 
 def _dense_spatial_weights(thetas, size=32):
+    """Dense reference: every pixel evaluates all 16 spatial tents."""
     c = (size - 1) / 2.0
     yy, xx = np.mgrid[0:size, 0:size]
     u, v = (xx - c).ravel(), (yy - c).ravel()
@@ -341,22 +415,49 @@ def _dense_spatial_weights(thetas, size=32):
 
 
 def _dense_histogram(dx, dy, thetas):
+    """The histogram as a batched matmul of the dense spatial and orientation tents."""
     votes = _dense_orientation_votes(dx, dy, thetas)
     sw = g.Var(_dense_spatial_weights(thetas)).swapaxes(1, 2)
     return g.matmul(sw, votes).reshape((len(thetas), -1))
 
 
-def _describe_with_vjp(patches, thetas, cotangent):
+def _chain_sift(patches, thetas, histogram=_sparse_histogram):
+    """The former sift_describe: spatial_gradient -> histogram -> L2 -> clamp 0.2 -> L2."""
+    pv = g.as_var(patches)
+    n = pv.shape[0]
+    grad = spatial_gradient(pv, mode="diff")
+    dx, dy = grad[:, :, 0], grad[:, :, 1]
+    degenerate = (np.abs(dx.data).max(axis=(1, 2, 3)) + np.abs(dy.data).max(axis=(1, 2, 3))) < 1e-12
+    desc = histogram(dx.reshape((n, -1)), dy.reshape((n, -1)), thetas)
+    desc = desc / g.sqrt((desc * desc).sum(axis=1, keepdims=True) + 1e-12)
+    desc = desc.clamp(hi=0.2)
+    desc = desc / g.sqrt((desc * desc).sum(axis=1, keepdims=True) + 1e-12)
+    return g.where(np.broadcast_to(~degenerate[:, None], desc.shape), desc, 0.0)
+
+
+def _chain_describe(pyramid, keypoints, histogram=_sparse_histogram):
+    """The former describe: (descriptors (M,128), orientations) in keypoint order."""
+    desc = np.empty((len(keypoints), 128))
+    thetas = np.empty(len(keypoints))
+    for level, idx, xs, ys in ft._per_level(pyramid, keypoints):
+        patches = ft.extract_patches_at(level.image, xs, ys)
+        thetas[idx] = _chain_orientations(patches.data)
+        desc[idx] = _chain_sift(patches, thetas[idx], histogram).data
+    return desc, thetas
+
+
+def _describe_with_vjp(describe, patches, thetas, cotangent):
     pv = g.Var(patches, requires_grad=True)
-    desc = ft.sift_describe(pv, thetas)
+    desc = describe(pv, thetas)
     return desc.data, g.backward((desc * cotangent).sum())[pv].data
 
 
-def _sparse_and_dense(monkeypatch, patches, thetas):
+def _shipped_and_dense(patches, thetas):
     cotangent = np.random.default_rng(len(patches)).normal(size=(len(patches), 128))
-    sparse = _describe_with_vjp(patches, thetas, cotangent)
-    monkeypatch.setattr(ft, "_sift_histogram", _dense_histogram)
-    return sparse, _describe_with_vjp(patches, thetas, cotangent)
+    dense = lambda p, t: _chain_sift(p, t, _dense_histogram)
+    return _describe_with_vjp(ft.sift_describe, patches, thetas, cotangent), _describe_with_vjp(
+        dense, patches, thetas, cotangent
+    )
 
 
 def _relative(a, b):
@@ -368,25 +469,25 @@ _SIFT_THETAS = [0.0, *(k * np.pi / 4 for k in range(1, 8)), -0.3, 2 * np.pi - 1e
 
 @pytest.mark.parametrize("theta", _SIFT_THETAS)
 @pytest.mark.parametrize("n", [1, 17, 40])  # 17 and 40 span more than one binning block
-def test_sift_sparse_binning_matches_dense(monkeypatch, n, theta):
+def test_sift_sparse_binning_matches_dense(n, theta):
     rng = np.random.default_rng(n)
     patches = gaussian_blur2d(g.Var(rng.random((n, 1, 32, 32))), (5, 5), (1.0, 1.0)).data
     thetas = np.full(n, theta)
     thetas[1::2] = rng.uniform(-np.pi, 3 * np.pi, size=n // 2)  # mixed orientations per block
-    (desc, grad), (desc_ref, grad_ref) = _sparse_and_dense(monkeypatch, patches, thetas)
+    (desc, grad), (desc_ref, grad_ref) = _shipped_and_dense(patches, thetas)
     assert np.abs(desc - desc_ref).max() <= 1e-12
     assert _relative(grad, grad_ref) <= 1e-10
 
 
 @pytest.mark.parametrize("theta", _SIFT_THETAS)
-def test_sift_sparse_binning_matches_dense_on_bin_centers(monkeypatch, theta):
+def test_sift_sparse_binning_matches_dense_on_bin_centers(theta):
     # ramps along the 8 bin directions: every interior gradient angle is
     # exactly a bin center for theta = k*pi/4 (a kink of the orientation tent)
     yy, xx = np.mgrid[0:32, 0:32] / 64.0
     dirs = [(1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1)]
     patches = np.stack([a * xx + b * yy for a, b in dirs])[:, None]
     thetas = np.full(len(dirs), theta)
-    (desc, grad), (desc_ref, grad_ref) = _sparse_and_dense(monkeypatch, patches, thetas)
+    (desc, grad), (desc_ref, grad_ref) = _shipped_and_dense(patches, thetas)
     assert np.abs(desc - desc_ref).max() <= 1e-12
     # at 2*pi - 1e-15 the angles sit within rounding of a bin center, where the
     # slope either form takes depends on how angle - theta rounds
@@ -395,19 +496,18 @@ def test_sift_sparse_binning_matches_dense_on_bin_centers(monkeypatch, theta):
 
 
 @pytest.mark.parametrize("seed", [0, 11])
-def test_match_list_same_with_dense_descriptors(monkeypatch, seed):
-    # the match workload's 256x256 pair
+def test_match_list_same_with_dense_descriptors(seed):
+    # the match workload's 256x256 pair: the shipped pipeline against the
+    # former chain with the dense histogram
     h_true = synthetic.rotation_translation_h(256, 256, 5.0, 6.0, -4.0)
     src, dst = synthetic.warped_pair(256, 256, h_true, seed=seed)
-
-    def matches():
-        _, desc_a = ft.detect_and_describe(src, 500)
-        _, desc_b = ft.detect_and_describe(dst, 500)
-        return ft.match_mnn(desc_a.data, desc_b.data)
-
-    sparse = matches()
-    monkeypatch.setattr(ft, "_sift_histogram", _dense_histogram)
-    dense = matches()
+    shipped, dense = [], []
+    for img in (src, dst):
+        kps, desc = ft.detect_and_describe(img, 500)
+        shipped.append(desc.data)
+        pyramid = ft.hessian_pyramid(img, 3)
+        dense.append(_chain_describe(pyramid, ft.detect(img, 500, pyramid=pyramid), _dense_histogram)[0])
+    sparse, dense = ft.match_mnn(*shipped), ft.match_mnn(*dense)
     assert len(sparse) >= 100
     assert [(m.ia, m.ib) for m in sparse] == [(m.ia, m.ib) for m in dense]
     assert np.allclose([m.distance for m in sparse], [m.distance for m in dense], rtol=0, atol=1e-12)
@@ -623,6 +723,12 @@ def test_describe_rejects_levels_missing_from_pyramid(levels):
         ft.describe(img, kps, pyramid=pyramid)
 
 
+def test_describe_rejects_a_batch():
+    img = g.Var(np.concatenate([textured_image((96, 96), seed=16, sigma=1.0)] * 2))
+    with pytest.raises(g.ShapeError):
+        ft.describe(img, [ft.Keypoint(x=48.0, y=48.0)])
+
+
 def test_extract_patches_at_half_integer_centers_copy_the_window():
     img = textured_image((48, 56), seed=21)
     # a 32-pixel grid centered on c + 0.5 samples exactly the integers c - 15 .. c + 16
@@ -657,27 +763,107 @@ def test_extract_patches_at_rejects_unequal_center_counts():
         ft.extract_patches_at(g.Var(textured_image((40, 40), seed=23)), np.array([19.3, 20.1]), np.array([18.6]))
 
 
-def test_describe_orients_and_describes_the_extracted_patches(monkeypatch):
-    # describe takes the patch gradients once per level; its orientations and
-    # descriptors must equal the public functions' on the same patches
-    extracted = []
-    extract = ft.extract_patches_at
-
-    def recording_extract(*args, **kwargs):
-        extracted.append(extract(*args, **kwargs))
-        return extracted[-1]
-
-    monkeypatch.setattr(ft, "extract_patches_at", recording_extract)
+def test_describe_orients_and_describes_the_extracted_patches():
+    # describe runs one blocked node per level; its orientations and descriptors
+    # must be those of the former chain on the extracted patches
     img = g.Var(textured_image((128, 128), seed=17, sigma=1.5), requires_grad=True)
     pyramid = ft.hessian_pyramid(img, levels=3)
     kps = ft.detect(img, max_keypoints=80, pyramid=pyramid)
+    assert len({k.level for k in kps}) >= 2
     desc = ft.describe(img, kps, pyramid=pyramid)
-    levels = list(ft._per_level(pyramid, kps))
-    assert len(extracted) == len(levels) >= 2
-    for patches, (_, idx, _, _) in zip(extracted, levels):
-        thetas, _ = ft.dominant_orientations(patches.detach())
-        assert np.array_equal(np.array([kps[i].orientation for i in idx]), thetas)
-        assert np.array_equal(desc.data[idx], ft.sift_describe(patches, thetas).data)
+    want, want_thetas = _chain_describe(pyramid, kps)
+    assert np.array_equal(np.array([k.orientation for k in kps]), want_thetas)
+    assert np.abs(desc.data - want).max() <= 1e-12
+
+
+def _border_centers(h, w):
+    """Centers whose 32x32 patches straddle each border and a corner."""
+    return np.array([3.2, w - 2.7, 20.4, 30.1, 1.3]), np.array([25.3, 20.8, 1.6, h - 0.9, h - 2.2])
+
+
+def test_level_histograms_image_gradient_matches_former_chain():
+    h, w = 48, 56
+    arr = textured_image((h, w), seed=41)
+    xs, ys = _border_centers(h, w)
+    thetas = np.random.default_rng(41).uniform(0.0, 2.0 * np.pi, len(xs))  # frozen, as in the attack
+    cot = np.random.default_rng(42).normal(size=(len(xs), 128))
+    results = []
+    for run in (
+        lambda v: ft._normalized(*ft._level_histograms(v, xs, ys, thetas)[::2]),
+        lambda v: _chain_sift(ft.extract_patches_at(v, xs, ys), thetas),
+    ):
+        img = g.Var(arr, requires_grad=True)
+        desc = run(img)
+        results.append((desc.data, g.backward((desc * cot).sum())[img].data))
+    (desc, grad), (desc_ref, grad_ref) = results
+    assert np.abs(desc - desc_ref).max() <= 1e-12
+    assert _relative(grad, grad_ref) <= 1e-10
+
+
+@pytest.mark.parametrize("seed", [43, 44])
+def test_level_histograms_gradcheck(seed):
+    h, w = 14, 12
+    arr = textured_image((h, w), seed=seed)
+    xs, ys = np.array([5.3, 9.8, -3.1]), np.array([6.6, 2.2, 11.4])  # patches reach past every border
+    thetas = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, len(xs))
+    weights = np.random.default_rng(seed + 1).normal(size=(len(xs), 128))
+
+    def f(v):
+        hist, _, degenerate = ft._level_histograms(v, xs, ys, thetas)
+        return (ft._normalized(hist, degenerate) * weights).sum()
+
+    gradcheck(f, [arr], rtol=1e-3)
+
+
+def test_describe_records_one_histogram_node_per_level(monkeypatch):
+    img = g.Var(textured_image((128, 128), seed=17, sigma=1.5), requires_grad=True)
+    pyramid = ft.hessian_pyramid(img, levels=3)
+    kps = ft.detect(img, max_keypoints=80, pyramid=pyramid)
+    levels = sorted({k.level for k in kps})
+    assert len(levels) >= 2
+
+    def unused(*args, **kwargs):
+        raise AssertionError("describe runs the blocked pass only")
+
+    monkeypatch.setattr(ft, "extract_patches_at", unused)
+    monkeypatch.setattr(ft, "spatial_gradient", unused)
+    tape = pyramid[-1].response._tape
+    before = len(tape)
+    ft.describe(img, kps, pyramid=pyramid)
+    new = tape._nodes[before:]
+    level_ids = {tape._leaf_ids[id(img)]} | {pyramid[lvl].image._node_id for lvl in levels if lvl}
+    assert [len(set(node.parent_ids) & level_ids) for node in new].count(1) == len(levels)
+    # one histogram node per level, the concat and the reorder, the 11-op L2 -> clamp -> L2 tail
+    assert len(new) == len(levels) + 2 + 11
+
+
+def _former_detect(pyramid, max_keypoints):
+    """The former detect: nms2d keypoints per level, margin, sort, cut."""
+    kps = []
+    for lvl, level in enumerate(pyramid):
+        h, w = level.response.shape[2:]
+        for kp in ft.nms2d(level.response.data, window=5, threshold=1e-6):
+            if 17 <= kp.x <= w - 18 and 17 <= kp.y <= h - 18:
+                kps.append(ft.Keypoint(x=kp.x * level.scale, y=kp.y * level.scale,
+                                       scale=1.6 * level.scale, response=kp.response, level=lvl))
+    kps.sort(key=lambda k: -k.response)
+    return kps[:max_keypoints]
+
+
+@pytest.mark.parametrize("max_keypoints", [0, 37, 500])
+@pytest.mark.parametrize("tiled", [False, True])
+def test_detect_matches_former_keypoint_loop(max_keypoints, tiled):
+    arr = textured_image((128, 160), seed=19, sigma=1.2)
+    if tiled:  # a periodic image: equal responses, so ties are broken by level and scan order
+        arr = np.tile(arr[:, :, :32, :32], (1, 1, 4, 5))
+    pyramid = ft.hessian_pyramid(g.Var(arr), levels=3)
+    kps = ft.detect(None, max_keypoints=max_keypoints, pyramid=pyramid)
+    assert kps == _former_detect(pyramid, max_keypoints)
+    if max_keypoints and tiled:
+        assert len({k.response for k in kps}) < len(kps)
+    elif max_keypoints:
+        assert len({k.level for k in kps}) >= 2
+
 
 
 # --- integer-window patch sampler vs the former grid sampler ---------------------------
@@ -820,12 +1006,10 @@ def test_describe_keeps_the_image_dtype(dtype):
     kps, desc = ft.detect_and_describe(img, max_keypoints=20)
     assert len(kps) == 20 and desc.dtype == dtype
     assert g.backward(desc.sum())[img].dtype == dtype
-    # the raw histogram node: float64 votes, cast to the gradients' dtype, and so is its vjp
-    grad = spatial_gradient(ft.extract_patches_at(img, [40.3, 50.8], [44.1, 39.6]), mode="diff")
-    dx, dy = grad[:, :, 0].reshape((2, -1)), grad[:, :, 1].reshape((2, -1))
-    hist = ft._sift_histogram(dx, dy, np.array([0.3, 2.0]))
+    # the raw histogram node: float64 votes, cast to the image's dtype, and so is its vjp
+    hist, _, _ = ft._level_histograms(img, np.array([40.3, 50.8]), np.array([44.1, 39.6]))
     assert hist.dtype == dtype
-    assert [v.dtype for v in _own_vjp(hist, np.ones(hist.shape, dtype))] == [dtype, dtype]
+    assert [v.dtype for v in _own_vjp(hist, np.ones(hist.shape, dtype))] == [dtype]
     if dtype == np.float32:  # float32 descriptors follow the float64 ones
         _, desc64 = ft.detect_and_describe(g.Var(img.data.astype(np.float64)), max_keypoints=20)
         assert np.abs(desc.data - desc64.data).max() < 1e-4

@@ -63,6 +63,10 @@ def test_comment_headers_and_errors(tmp_path):
     trunc.write_bytes(b"P5\n4 4\n255\n\x00\x01")
     with pytest.raises(g.ParameterError):
         g.read_pnm(trunc)
+    for header in (b"P5\n4 x\n255\n", b"P5\n0 4\n255\n"):  # a non-integer size, an empty image
+        bad.write_bytes(header + bytes(16))
+        with pytest.raises(g.ParameterError, match="reading PNM file"):
+            g.read_pnm(bad)
 
 
 def test_write_clamps_range(tmp_path):
