@@ -19,7 +19,7 @@ import numpy as np
 from . import color
 from .errors import ParameterError, ShapeError
 from .geometry.transforms import get_rotation_matrix2d, warp_affine, warp_perspective
-from .tape import Var, as_var, concat, where
+from .tape import Var, as_var, where
 
 
 class Rng:
@@ -64,44 +64,38 @@ def _uniform(u: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return lo + u * (hi - lo)
 
 
-class RandomHFlip:
+class _RandomFlip:
+    """Flip each sample along image axis `axis` (3: left-right, 2:
+    top-bottom) with probability p; `who` names the op in errors."""
+
+    def __init__(self, p: float = 0.5):
+        if not 0.0 <= p <= 1.0:
+            raise ParameterError(f"p must be in [0,1], got {p}")
+        self.p = p
+
+    def __call__(self, batch, rng: Rng) -> AugResult:
+        batch = _check_batch(batch, self.who)
+        n = batch.shape[0]
+        flip = rng.draw(n, 1)[:, 0] < self.p
+        reverse = (slice(None),) * self.axis + (slice(None, None, -1),)
+        out = where(flip[:, None, None, None], batch[reverse], batch)
+        t = _identity_transforms(n)
+        row = 3 - self.axis  # the x row of the matrix for axis 3, the y row for axis 2
+        t[flip, row, row] = -1.0
+        t[flip, row, 2] = batch.shape[self.axis] - 1.0
+        return AugResult(out, Var(t), {"flipped": flip})
+
+
+class RandomHFlip(_RandomFlip):
     """Flip each sample left-right with probability p."""
 
-    def __init__(self, p: float = 0.5):
-        if not 0.0 <= p <= 1.0:
-            raise ParameterError(f"p must be in [0,1], got {p}")
-        self.p = p
-
-    def __call__(self, batch, rng: Rng) -> AugResult:
-        batch = _check_batch(batch, "random_hflip")
-        n, _, h, w = batch.shape
-        flip = rng.draw(n, 1)[:, 0] < self.p
-        flipped = batch[:, :, :, ::-1]
-        out = where(flip[:, None, None, None], flipped, batch)
-        t = _identity_transforms(n)
-        t[flip, 0, 0] = -1.0
-        t[flip, 0, 2] = w - 1.0
-        return AugResult(out, Var(t), {"flipped": flip})
+    axis, who = 3, "random_hflip"
 
 
-class RandomVFlip:
+class RandomVFlip(_RandomFlip):
     """Flip each sample top-bottom with probability p."""
 
-    def __init__(self, p: float = 0.5):
-        if not 0.0 <= p <= 1.0:
-            raise ParameterError(f"p must be in [0,1], got {p}")
-        self.p = p
-
-    def __call__(self, batch, rng: Rng) -> AugResult:
-        batch = _check_batch(batch, "random_vflip")
-        n, _, h, w = batch.shape
-        flip = rng.draw(n, 1)[:, 0] < self.p
-        flipped = batch[:, :, ::-1, :]
-        out = where(flip[:, None, None, None], flipped, batch)
-        t = _identity_transforms(n)
-        t[flip, 1, 1] = -1.0
-        t[flip, 1, 2] = h - 1.0
-        return AugResult(out, Var(t), {"flipped": flip})
+    axis, who = 2, "random_vflip"
 
 
 class RandomAffine:
@@ -149,7 +143,9 @@ class ColorJitter:
     brightness -> contrast -> saturation -> hue; transform stays identity.
 
     brightness is an additive offset range; contrast/saturation are factor
-    ranges; hue is a shift range in radians.
+    ranges; hue is a shift range in radians.  Each draw gives one factor
+    per sample, and each adjustment is one batched `color.adjust_*` call on
+    those factors.
     """
 
     def __init__(
@@ -167,29 +163,19 @@ class ColorJitter:
         self.saturation = tuple(saturation)
         self.hue = tuple(hue)
 
-    def _needs_color(self) -> bool:
-        return self.saturation != (1.0, 1.0) or self.hue != (0.0, 0.0)
-
     def __call__(self, batch, rng: Rng) -> AugResult:
         batch = _check_batch(batch, "color_jitter")
         n = batch.shape[0]
-        if self._needs_color() and batch.shape[1] != 3:
+        if (self.saturation, self.hue) != ((1.0, 1.0), (0.0, 0.0)) and batch.shape[1] != 3:
             raise ShapeError("saturation/hue jitter needs 3-channel input")
         u = rng.draw(n, 4)
         bs = _uniform(u[:, 0], *self.brightness)
         cs = _uniform(u[:, 1], *self.contrast)
         ss = _uniform(u[:, 2], *self.saturation)
         hs = _uniform(u[:, 3], *self.hue)
-        rows = []
-        for i in range(n):
-            x = batch[i : i + 1]
-            x = color.adjust_brightness(x, float(bs[i]))
-            x = color.adjust_contrast(x, float(cs[i]))
-            if batch.shape[1] == 3:
-                x = color.adjust_saturation(x, float(ss[i]))
-                x = color.adjust_hue(x, float(hs[i]))
-            rows.append(x)
-        out = rows[0] if n == 1 else concat(rows, axis=0)
+        out = color.adjust_contrast(color.adjust_brightness(batch, bs), cs)
+        if batch.shape[1] == 3:
+            out = color.adjust_hue(color.adjust_saturation(out, ss), hs)
         return AugResult(
             out,
             Var(_identity_transforms(n)),

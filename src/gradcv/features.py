@@ -33,9 +33,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import EstimationError, NoConsensusError, ParameterError, ShapeError, UsageError
-from .filters import gaussian_blur2d, pyramid_down, spatial_gradient
-from .geometry.transforms import _dlt_system, _has_collinear_triple
-from .kernels import _snap
+from .filters import DIFF_X, gaussian_blur2d, pyramid_down, spatial_gradient
+from .geometry.transforms import _dlt_least_squares, _has_collinear_triple, _solve_minimal
+from .kernels import _snap, conv2d
 from .tape import Var, _record, as_var, concat, sqrt, where
 from .tensor import as_array
 
@@ -111,11 +111,11 @@ def corner_response(
     if mode == "hessian":
         ksize = 2 * int(3 * sigma_int) + 1
         smoothed = gaussian_blur2d(img, (ksize, ksize), (sigma_int, sigma_int))
-        grad = spatial_gradient(smoothed, mode="diff")
-        # one pass over both first derivatives: second[:, c, d] is the derivative
-        # of channel c (dx, dy) along axis d (x, y)
-        second = spatial_gradient(grad[:, 0], mode="diff")
-        ixx, ixy, iyy = second[:, 0:1, 0], second[:, 0:1, 1], second[:, 1:2, 1]
+        first = spatial_gradient(smoothed, mode="diff")[:, 0]  # (N,2,H,W): dx, dy
+        # the 3 second derivatives kept: d/dx of dx, and d/dy of dx and dy in one pass
+        ixx = conv2d(first[:, 0:1], DIFF_X, border="reflect")
+        d_dy = conv2d(first, DIFF_X.T, border="reflect")
+        ixy, iyy = d_dy[:, 0:1], d_dy[:, 1:2]
         return ixx * iyy - ixy * ixy
     raise ParameterError(f"unknown response mode {mode!r}")
 
@@ -362,7 +362,8 @@ def _orientation_peaks(d2: np.ndarray, ang: np.ndarray) -> tuple:
     n, s = len(d2), d2.shape[-1]
     wgt = np.sqrt(d2) * _orientation_window(s)  # no eps: a constant patch stays degenerate
     ang = ang + (ang < 0) * (2.0 * np.pi)  # atan2's range wrapped to [0, 2pi), as np.mod does
-    bins = np.minimum((ang * (ORI_HIST_BINS / (2.0 * np.pi))).astype(int), ORI_HIST_BINS - 1)
+    with np.errstate(invalid="ignore"):  # a NaN angle casts to any bin: its NaN weight makes the row NaN
+        bins = np.clip((ang * (ORI_HIST_BINS / (2.0 * np.pi))).astype(int), 0, ORI_HIST_BINS - 1)
     bins += np.arange(n)[:, None, None] * ORI_HIST_BINS
     hist = np.bincount(bins.ravel(), wgt.ravel(), n * ORI_HIST_BINS).reshape(n, ORI_HIST_BINS)
     degenerate = hist.sum(axis=1) < 1e-9
@@ -421,7 +422,8 @@ def _vote_frame(ang: np.ndarray, thetas: np.ndarray, buf: _VoteBuffers) -> tuple
     ly *= _ORI_AXIS
     ly += (np.arange(b) * (_GRID * _GRID * _ORI_AXIS))[:, None, None]
     first = ly.astype(np.int64)
-    first += lo.astype(np.int64) & (DESC_ORI_BINS - 1)
+    with np.errstate(invalid="ignore"):  # a NaN angle casts to any bin: its NaN votes make the row NaN
+        first += lo.astype(np.int64) & (DESC_ORI_BINS - 1)
     idx = np.add(first[:, None, None, None], _VOTE_OFFSETS, out=buf.idx[:b])
     return idx, wyx, wo
 
@@ -596,13 +598,6 @@ def match_mnn(desc_a, desc_b, ratio: float | None = None) -> list:
 # RANSAC
 
 
-def _dlt_least_squares(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """Overdetermined DLT with h22 = 1 via normal equations."""
-    a, b = _dlt_system(src, dst)
-    h = np.linalg.solve(a.T @ a, a.T @ b)
-    return np.append(h, 1.0).reshape(3, 3)
-
-
 _SAMPLE = 4  # minimal sample of a homography
 _SCORE_CHUNK = 256  # hypotheses scored per (chunk, N) residual block
 
@@ -619,24 +614,6 @@ def _draw_samples(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
         for used in np.sort(idx[:, :k], axis=1).T:
             idx[:, k] += idx[:, k] >= used
     return idx
-
-
-def _solve_minimal(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """(B,3,3) homographies of B 4-point samples, NaN where the 8x8 DLT
-    system is singular or its solution is not finite."""
-    a, b = _dlt_system(src, dst)
-    try:
-        h = np.linalg.solve(a, b[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        # rare exact singularity: solve one by one so the rest survive
-        h = np.full(b.shape, np.nan)
-        for i in range(len(a)):
-            try:
-                h[i] = np.linalg.solve(a[i], b[i])
-            except np.linalg.LinAlgError:
-                pass
-    h[~np.isfinite(h).all(axis=1)] = np.nan
-    return np.concatenate([h, np.ones((len(h), 1))], axis=1).reshape(-1, 3, 3)
 
 
 def _inlier_masks(hs: np.ndarray, a: np.ndarray, b: np.ndarray, threshold: float) -> np.ndarray:

@@ -1,5 +1,10 @@
-"""Planar transforms: the 4-point DLT, perspective/affine warps, and the
-normalized-coordinate homography warp used by registration.
+"""Planar transforms: the DLT homography solvers, perspective/affine warps,
+and the normalized-coordinate homography warp used by registration.
+
+Every homography fit builds its rows with `_dlt_system`: the exact 4-point
+solve of a batch (`_solve_minimal`, used by `get_perspective_transform` and
+the RANSAC hypotheses of `features.ransac_homography`) and the least-squares
+refit on the inliers (`_dlt_least_squares`).
 
 Warp convention: the matrix maps input pixel coordinates to output pixel
 coordinates; warps are inverse-sampling (each output pixel back-projects
@@ -82,25 +87,46 @@ def _dlt_system(src: np.ndarray, dst: np.ndarray) -> tuple:
     return a, b
 
 
+def _solve_minimal(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """(B,3,3) homographies of B 4-point samples, NaN where the 8x8 DLT
+    system is singular or its solution is not finite."""
+    a, b = _dlt_system(src, dst)
+    try:
+        h = np.linalg.solve(a, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        # rare exact singularity: solve one by one so the rest survive
+        h = np.full(b.shape, np.nan)
+        for i in range(len(a)):
+            try:
+                h[i] = np.linalg.solve(a[i], b[i])
+            except np.linalg.LinAlgError:
+                pass
+    h[~np.isfinite(h).all(axis=1)] = np.nan
+    return np.concatenate([h, np.ones((len(h), 1))], axis=1).reshape(-1, 3, 3)
+
+
+def _dlt_least_squares(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Overdetermined DLT with h22 = 1 via normal equations."""
+    a, b = _dlt_system(src, dst)
+    h = np.linalg.solve(a.T @ a, a.T @ b)
+    return np.append(h, 1.0).reshape(3, 3)
+
+
 def get_perspective_transform(src, dst) -> np.ndarray:
     """Homography H with dst_i ~ H @ [src_i, 1] from 4 point pairs.
 
     Solved as the exactly-determined 8x8 DLT system (LU with partial
-    pivoting); H[2,2] is fixed to 1.  Configurations with three collinear
-    points (either side) are rejected as degenerate.
+    pivoting, :func:`_solve_minimal`); H[2,2] is fixed to 1.  Configurations
+    with three collinear points (either side) are rejected as degenerate.
     """
     src = as_array(src, np.float64).reshape(4, 2)
     dst = as_array(dst, np.float64).reshape(4, 2)
     if _has_collinear_triple(src) or _has_collinear_triple(dst):
         raise EstimationError("degenerate configuration: three points collinear")
-    a, b = _dlt_system(src, dst)
-    try:
-        h = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:
-        raise EstimationError(f"degenerate point configuration: {exc}") from exc
-    if not np.isfinite(h).all():
-        raise EstimationError("degenerate point configuration (non-finite solution)")
-    return np.append(h, 1.0).reshape(3, 3)
+    h = _solve_minimal(src[None], dst[None])[0]
+    if np.isnan(h).any():
+        raise EstimationError("degenerate point configuration (singular or non-finite DLT solution)")
+    return h
 
 
 def _pixel_grid(h: int, w: int, dtype) -> np.ndarray:

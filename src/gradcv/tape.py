@@ -490,7 +490,13 @@ def clamp(a, lo=None, hi=None) -> Var:
 def where(cond, a, b) -> Var:
     """Select by a constant boolean mask (the mask is not differentiated)."""
     c = as_array(cond).astype(bool)
-    av, bv = as_var(a), as_var(b)
+    # a Python-scalar branch takes the other branch's dtype, as in _binary
+    if isinstance(a, (int, float)):
+        bv = as_var(b)
+        av = as_var(a, bv.dtype)
+    else:
+        av = as_var(a)
+        bv = as_var(b, av.dtype if isinstance(b, (int, float)) else None)
     out = np.where(c, av.data, bv.data)
     sa, sb = av.shape, bv.shape
 

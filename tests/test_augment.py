@@ -4,6 +4,7 @@ import pytest
 
 import gradcv as g
 from gradcv import augment as aug
+from gradcv import color
 from gradcv.filters import gaussian_blur2d
 from gradcv.geometry import warp_perspective
 from gradcv.testing import gradcheck
@@ -116,6 +117,25 @@ def test_color_jitter_per_sample_independence():
     r2 = aug.color_jitter(g.Var(modified), *args, aug.Rng(33))
     assert np.array_equal(r1.output.data[0], r2.output.data[0])
     assert not np.array_equal(r1.output.data[1], r2.output.data[1])
+
+
+def test_color_jitter_is_one_batched_pass_equal_to_per_sample_adjustments():
+    # the former implementation: one adjust_* call per sample with scalar factors
+    x = batch(n=8, h=32, w=32, seed=9).data
+    w = np.random.default_rng(16).normal(size=x.shape)
+    args = ((-0.1, 0.1), (0.8, 1.2), (0.7, 1.3), (-0.3, 0.3))
+    v = g.Var(x, requires_grad=True)
+    res = aug.color_jitter(v, *args, aug.Rng(21))
+    assert len(res.output._tape) <= 100  # 1114 nodes with one chain per sample
+    grad = g.backward((res.output * w).sum())[v].data
+    p = res.params
+    rows = []
+    for i in range(8):
+        y = color.adjust_contrast(color.adjust_brightness(v[i : i + 1], float(p["brightness"][i])), float(p["contrast"][i]))
+        rows.append(color.adjust_hue(color.adjust_saturation(y, float(p["saturation"][i])), float(p["hue"][i])))
+    ref = g.concat(rows, axis=0)
+    assert np.array_equal(res.output.data, ref.data)
+    assert np.array_equal(grad, g.backward((ref * w).sum())[v].data)
 
 
 # --- erasing / crop ----------------------------------------------------------------

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import gradcv as g
-from gradcv import color
+from gradcv import augment as aug
+from gradcv import color, tape
 from gradcv.testing import gradcheck
 
 
@@ -192,3 +193,118 @@ def test_color_gradchecks(seed):
     gradcheck(lambda v: color.adjust_gamma(v, 1.7).mean(), [x])
     gradcheck(lambda v: color.adjust_saturation(v, 0.7).mean(), [x])
     gradcheck(lambda v: color.rgb_to_ycbcr(v).mean(), [x])
+
+
+# --- dtype contract ----------------------------------------------------------------
+
+
+def _jitter(v):
+    return aug.color_jitter(v, (-0.1, 0.1), (0.8, 1.2), (0.7, 1.3), (-0.3, 0.3), aug.Rng(3)).output
+
+
+_MEAN, _STD = [0.4, 0.5, 0.6], [0.2, 0.25, 0.3]
+_OPS = {
+    "rgb_to_grayscale": color.rgb_to_grayscale,
+    "rgb_to_hsv": color.rgb_to_hsv,
+    "hsv_to_rgb": color.hsv_to_rgb,
+    "rgb_to_xyz": color.rgb_to_xyz,
+    "xyz_to_rgb": color.xyz_to_rgb,
+    "rgb_to_ycbcr": color.rgb_to_ycbcr,
+    "ycbcr_to_rgb": color.ycbcr_to_rgb,
+    "normalize": lambda v: color.normalize(v, _MEAN, _STD),
+    "denormalize": lambda v: color.denormalize(v, _MEAN, _STD),
+    "adjust_brightness": lambda v: color.adjust_brightness(v, 0.1),
+    "adjust_brightness_per_sample": lambda v: color.adjust_brightness(v, np.array([0.1, -0.2])),
+    "adjust_contrast_per_sample": lambda v: color.adjust_contrast(v, np.array([0.8, 1.3])),
+    "adjust_gamma": lambda v: color.adjust_gamma(v, 1.7),
+    "adjust_saturation": lambda v: color.adjust_saturation(v, 0.6),
+    "adjust_saturation_per_sample": lambda v: color.adjust_saturation(v, np.array([0.6, 1.4])),
+    "adjust_hue_per_sample": lambda v: color.adjust_hue(v, np.array([0.5, -1.0])),
+    "color_jitter": _jitter,
+}
+
+
+def _log_node_dtypes(monkeypatch) -> list:
+    """Record the dtype of every tape node's output and of each array its vjp returns."""
+    seen = []
+    record = tape._record
+
+    def logged(out, parents, vjp):
+        def logged_vjp(g):
+            grads = vjp(g)
+            seen.extend(np.asarray(p).dtype for p in grads if p is not None)
+            return grads
+
+        seen.append(np.asarray(out).dtype)
+        return record(out, parents, logged_vjp)
+
+    for module in (tape, color):
+        monkeypatch.setattr(module, "_record", logged, raising=False)
+    return seen
+
+
+@pytest.mark.parametrize("name", sorted(_OPS))
+def test_float32_in_gives_float32_out_and_gradients(name, monkeypatch):
+    seen = _log_node_dtypes(monkeypatch)
+    x = g.Var(np.random.default_rng(12).uniform(0.1, 0.9, (2, 3, 4, 5)).astype(np.float32), requires_grad=True)
+    out = _OPS[name](x)
+    grad = g.backward((out * out).mean())[x]
+    assert out.dtype == np.float32 and grad.dtype == np.float32
+    assert seen and set(seen) == {np.dtype(np.float32)}  # every node and every vjp output
+
+
+# --- per-sample factors -------------------------------------------------------------
+
+
+def _per_sample_calls(adjust, v, factors):
+    return g.concat([adjust(v[i : i + 1], float(f)) for i, f in enumerate(factors)], axis=0)
+
+
+@pytest.mark.parametrize(
+    "adjust,factors",
+    [
+        (color.adjust_brightness, [0.0, 0.2, -0.3]),
+        (color.adjust_contrast, [1.0, 1.3, 0.6]),
+        (color.adjust_saturation, [1.0, 0.5, 1.7]),  # a sample at the identity is only clamped
+        (color.adjust_hue, [0.0, 1.0, -2.5]),
+    ],
+)
+def test_per_sample_factors_equal_one_call_per_sample(adjust, factors):
+    x = np.random.default_rng(13).uniform(0.05, 0.95, (3, 3, 5, 6))
+    w = np.random.default_rng(14).normal(size=x.shape)
+    results = []
+    for run in (lambda v: adjust(v, np.array(factors)), lambda v: _per_sample_calls(adjust, v, factors)):
+        v = g.Var(x, requires_grad=True)
+        out = run(v)
+        results.append((out.data, g.backward((out * w).sum())[v].data))
+    assert np.array_equal(results[0][0], results[1][0])
+    assert np.array_equal(results[0][1], results[1][1])
+
+
+@pytest.mark.parametrize("adjust", [color.adjust_brightness, color.adjust_contrast, color.adjust_saturation, color.adjust_hue])
+@pytest.mark.parametrize("factor", [np.ones(3), np.ones((2, 1)), np.ones((2, 1, 1, 1))])
+def test_per_sample_factor_of_wrong_shape_rejected(adjust, factor):
+    with pytest.raises(g.ShapeError):
+        adjust(g.Var(np.full((2, 3, 4, 4), 0.5)), factor)
+
+
+@pytest.mark.parametrize("op", [color.normalize, color.denormalize])
+def test_mean_std_of_wrong_length_rejected(op):
+    img = g.Var(np.ones((1, 3, 2, 2)))
+    with pytest.raises(g.ShapeError):
+        op(img, [0.5, 0.5], [1.0, 1.0, 1.0])
+    with pytest.raises(g.ShapeError):
+        op(img, [0.5] * 3, [1.0, 1.0])
+
+
+def test_hsv_to_rgb_nan_hue_gives_nan_pixel_without_warning():
+    # warnings are errors in this suite: the sector of a NaN hue must not warn
+    hsv = color.rgb_to_hsv(g.Var(np.random.default_rng(15).random((1, 3, 4, 4)))).numpy()
+    hsv[0, 1, 1, 2] = 0.8  # a saturated pixel, so its color depends on the hue
+    ref = color.hsv_to_rgb(g.Var(hsv)).data
+    hsv[0, 0, 1, 2] = np.nan
+    out = color.hsv_to_rgb(g.Var(hsv)).data
+    assert np.isnan(out[0, :, 1, 2]).any()
+    others = np.ones((4, 4), dtype=bool)
+    others[1, 2] = False
+    assert np.array_equal(out[:, :, others], ref[:, :, others])

@@ -57,8 +57,8 @@ def test_hessian_blob_peak_at_center():
 
 
 def test_hessian_response_matches_two_call_formula():
-    # one spatial_gradient over both first derivatives gives the same
-    # response and the same image gradient as one call per derivative
+    # the three second derivatives it computes give the same response and
+    # the same image gradient as one spatial_gradient call per derivative
     weights = np.random.default_rng(6).normal(size=(1, 1, 40, 48))
 
     def two_call(img):
@@ -727,6 +727,23 @@ def test_describe_rejects_a_batch():
     img = g.Var(np.concatenate([textured_image((96, 96), seed=16, sigma=1.0)] * 2))
     with pytest.raises(g.ShapeError):
         ft.describe(img, [ft.Keypoint(x=48.0, y=48.0)])
+
+
+def test_describe_nan_pixel_gives_nan_rows_without_warning():
+    # warnings are errors in this suite: the NaN angles near the pixel must not
+    # warn when they are binned; only the rows whose patches read it change
+    img = textured_image((96, 96), seed=18, sigma=1.0)
+    kps = ft.detect(g.Var(img), max_keypoints=40, levels=2)
+    ref = ft.describe(g.Var(img), [ft.Keypoint(**vars(k)) for k in kps]).data
+    px, py = int(kps[0].x) - 1, int(kps[0].y) + 2
+    bad = img.copy()
+    bad[0, 0, py, px] = np.nan
+    out = ft.describe(g.Var(bad), [ft.Keypoint(**vars(k)) for k in kps]).data
+    rows = np.isnan(out).any(axis=1)
+    assert rows[0] and np.isnan(out[rows]).all()
+    far = np.array([max(abs(k.x - px), abs(k.y - py)) / 2**k.level > 20 for k in kps])
+    assert far.sum() > 10 and not rows[far].any()
+    assert np.array_equal(out[~rows], ref[~rows])
 
 
 def test_extract_patches_at_half_integer_centers_copy_the_window():

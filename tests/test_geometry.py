@@ -49,6 +49,15 @@ def test_dlt_collinear_rejected():
         geo.get_perspective_transform(src, dst)
 
 
+def test_dlt_singular_system_rejected():
+    # H maps (x, y) to (2/x, 2y/x): H[2,2] = 0, so with H[2,2] fixed to 1 the
+    # DLT system of these non-collinear points is exactly singular
+    src = np.array([[1.0, 0.0], [2.0, 1.0], [1.0, 2.0], [2.0, -1.0]])
+    dst = np.array([[2.0, 0.0], [1.0, 1.0], [2.0, 4.0], [1.0, -1.0]])
+    with pytest.raises(g.EstimationError, match="singular"):
+        geo.get_perspective_transform(src, dst)
+
+
 # --- warps ---------------------------------------------------------------------
 
 

@@ -142,6 +142,9 @@ def test_float32_stays_float32_with_python_scalars():
     x = g.Var(np.ones((2, 2), dtype=np.float32), requires_grad=True)
     y = (x * 2.0 + 1.0) / 3.0
     assert y.dtype == np.float32
+    # a Python-scalar branch of where takes the other branch's dtype
+    mask = np.array([[True, False]] * 2)
+    assert g.where(mask, x, 0.0).dtype == np.float32 and g.where(mask, 1.0, x).dtype == np.float32
 
 
 def test_leaf_gradient_keeps_leaf_dtype():
