@@ -98,8 +98,8 @@ def rgb_to_hsv(img) -> Var:
 
 
 def hsv_to_rgb(img) -> Var:
-    """Inverse of :func:`rgb_to_hsv` (exact away from S = 0).  A NaN hue
-    gives NaN in its pixel."""
+    """Inverse of :func:`rgb_to_hsv` (exact away from S = 0).  A non-finite
+    hue gives NaN in all three channels of its pixel."""
     img = as_var(img)
     _require_channels(img, 3, "hsv_to_rgb")
     h, s, v = img[:, 0:1], img[:, 1:2], img[:, 2:3]
@@ -111,7 +111,9 @@ def hsv_to_rgb(img) -> Var:
     t = v * (1.0 - s * (1.0 - f))
     with np.errstate(invalid="ignore"):  # a non-finite hue casts to any sector: its f, q and t are NaN
         sector = floor[:, 0].astype(np.int64) % 6
-    return _gather(concat([v, p, q, t], axis=1), np.moveaxis(_SECTOR_SOURCES[sector], -1, 1))
+    rgb = _gather(concat([v, p, q, t], axis=1), np.moveaxis(_SECTOR_SOURCES[sector], -1, 1))
+    bad = ~np.isfinite(floor)  # every sector reads v or p, which do not see the hue
+    return where(np.broadcast_to(bad, rgb.shape), np.nan, rgb) if bad.any() else rgb
 
 
 def _mean_std(img, mean, std, who: str) -> tuple:

@@ -1,31 +1,27 @@
 """Classical local features, differentiable end to end where it matters.
 
-Pipeline (wide-baseline matching): Gaussian pyramid -> Hessian blob response
-per level -> hard NMS -> patch extraction at keypoint scale -> dominant
-gradient orientation -> SIFT description by sparse trilinear voting -> mutual
-nearest-neighbor matching -> RANSAC homography verification.
+Pipeline (wide-baseline matching): Gaussian pyramid (`filters.gaussian_pyramid`)
+-> Hessian blob response per level -> hard NMS -> patch extraction at keypoint
+scale -> dominant gradient orientation -> SIFT description by sparse trilinear
+voting -> mutual nearest-neighbor matching -> RANSAC homography verification.
+Detection (integer NMS locations, orientations, match indices) is discrete;
+responses, subpixel refinement and descriptors are Var-valued, so gradients
+flow from descriptor/position losses back into image pixels.
 
-Detection (integer NMS locations, orientation assignment, match indices) is
-discrete; responses, subpixel refinement, and descriptors are Var-valued, so
-gradients flow from descriptor/position losses back into image pixels.
-
-Keypoints are described level by level through one path: `_per_level` groups
-them by pyramid level with their centers in level pixels, and
-`_in_keypoint_order` restores their order.  `describe` and the feature-matching
-attack's gradient pass (`demos.attack`) both use it.
-
-Each level is one blocked pass and one tape node (`_level_histograms`).  For
-a block of 16 keypoints at a time it reads each patch as an integer
-(size+1)^2 window of the level image behind a zero border and blends it with
-the patch's one subpixel offset, takes central differences by slicing, and
-computes |grad|^2 and atan2 once per pixel for both the orientation
-histogram and the SIFT votes; one bincount per block casts the votes.  The
-vjp recomputes each block.  The public `extract_patches_at`,
-`dominant_orientations` and `sift_describe` wrap the same block helpers.
+Each job of the descriptor stage has one code path:
+- `_per_level` groups keypoints by pyramid level, and `_in_keypoint_order`
+  restores their order, for `describe` and the attack (`demos.attack`).
+- `_Windows` reads each patch as an integer (size+1)^2 window of the image
+  behind a zero border, blended with the patch's one subpixel offset; its
+  `adjoint` maps all patch gradients to the image in one bincount.
+- `_histogram_node` is the one SIFT tape node: a blocked pass computes
+  |grad|^2 and atan2 once per pixel for both the orientation histogram and
+  the votes, and the vjp recomputes each block.  `_level_histograms` (one
+  node per level, over `_Windows`) and `sift_describe` (over given patches)
+  both record it.
 """
 from __future__ import annotations
 
-import csv
 import functools
 from dataclasses import dataclass
 
@@ -33,7 +29,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import EstimationError, NoConsensusError, ParameterError, ShapeError, UsageError
-from .filters import DIFF_X, gaussian_blur2d, pyramid_down, spatial_gradient
+from .filters import DIFF_X, gaussian_blur2d, gaussian_pyramid, spatial_gradient
 from .geometry.transforms import _dlt_least_squares, _has_collinear_triple, _solve_minimal
 from .kernels import _snap, conv2d
 from .tape import Var, _record, as_var, concat, sqrt, where
@@ -296,20 +292,17 @@ class _Windows:
         out += rows[:, :-1]
         return out
 
-    def blend_adjoint(self, g: np.ndarray, blk: slice) -> np.ndarray:
-        """The window gradient (B,size+1,size+1) of the patch gradient g of a
-        block: each sample to its two rows, each row to its two columns."""
-        wx, wy = self.wx[blk], self.wy[blk]
+    def adjoint(self, g: np.ndarray) -> np.ndarray:
+        """The (H,W) float64 image gradient of the gradient g (M,size,size) of
+        all patches: each sample to its two window rows, each row to its two
+        columns, then one bincount of all windows into the plane, cropped to
+        the image."""
         g_rows = np.zeros((len(g), self.size + 1, self.size))
-        g_rows[:, :-1] = g * (1.0 - wy)
-        g_rows[:, 1:] += g * wy
+        g_rows[:, :-1] = g * (1.0 - self.wy)
+        g_rows[:, 1:] += g * self.wy
         g_win = np.zeros((len(g), self.size + 1, self.size + 1))
-        g_win[:, :, :-1] = g_rows * (1.0 - wx)
-        g_win[:, :, 1:] += g_rows * wx
-        return g_win
-
-    def image_gradient(self, g_win: np.ndarray) -> np.ndarray:
-        """One bincount of all windows' gradients into the plane, cropped to the image."""
+        g_win[:, :, :-1] = g_rows * (1.0 - self.wx)
+        g_win[:, :, 1:] += g_rows * self.wx
         b, (hp, wp) = self.border, self.shape
         window = np.arange(self.size + 1)[:, None] * wp + np.arange(self.size + 1)  # flat offsets of one window
         idx = (self.y0 * wp + self.x0)[:, None, None] + window
@@ -358,7 +351,8 @@ def _gradients_adjoint(gdx: np.ndarray, gdy: np.ndarray) -> np.ndarray:
 
 def _orientation_peaks(d2: np.ndarray, ang: np.ndarray) -> tuple:
     """(theta, degenerate) per patch of a block from |grad|^2 and the angle
-    (B,s,s): the peak of the magnitude-weighted 36-bin histogram."""
+    (B,s,s): the peak of the magnitude-weighted 36-bin histogram, NaN where
+    the histogram is."""
     n, s = len(d2), d2.shape[-1]
     wgt = np.sqrt(d2) * _orientation_window(s)  # no eps: a constant patch stays degenerate
     ang = ang + (ang < 0) * (2.0 * np.pi)  # atan2's range wrapped to [0, 2pi), as np.mod does
@@ -366,7 +360,8 @@ def _orientation_peaks(d2: np.ndarray, ang: np.ndarray) -> tuple:
         bins = np.clip((ang * (ORI_HIST_BINS / (2.0 * np.pi))).astype(int), 0, ORI_HIST_BINS - 1)
     bins += np.arange(n)[:, None, None] * ORI_HIST_BINS
     hist = np.bincount(bins.ravel(), wgt.ravel(), n * ORI_HIST_BINS).reshape(n, ORI_HIST_BINS)
-    degenerate = hist.sum(axis=1) < 1e-9
+    total = hist.sum(axis=1)
+    degenerate = total < 1e-9
     peak = hist.argmax(axis=1)
     rows = np.arange(n)
     off = _quad_offset(
@@ -374,6 +369,7 @@ def _orientation_peaks(d2: np.ndarray, ang: np.ndarray) -> tuple:
     )
     theta = np.mod((peak + off) * (2.0 * np.pi / ORI_HIST_BINS), 2.0 * np.pi)
     theta[degenerate] = 0.0
+    theta[np.isnan(total)] = np.nan
     return theta, degenerate
 
 
@@ -406,7 +402,8 @@ def _vote_frame(ang: np.ndarray, thetas: np.ndarray, buf: _VoteBuffers) -> tuple
     b = len(thetas)
     # the grid rotated by -theta, so the descriptor frame tracks the keypoint:
     # an outer sum of two 32-vectors per keypoint
-    cu, su = np.cos(thetas)[:, None] * _AXIS, np.sin(thetas)[:, None] * _AXIS
+    frame = np.where(np.isnan(thetas), 0.0, thetas)  # valid bins for a NaN theta; its NaN votes make the row NaN
+    cu, su = np.cos(frame)[:, None] * _AXIS, np.sin(frame)[:, None] * _AXIS
     fx = cu[:, None, :] + (su + _CENTER)[:, :, None]
     fy = (cu + _CENTER)[:, :, None] - su[:, None, :]
     lx, ly = np.floor(fx), np.floor(fy)
@@ -457,12 +454,13 @@ def _histogram_pass(n: int, patch_of, thetas=None) -> tuple:
     return hist[:, 2:-2, 2:-2, :-1].reshape(n, -1), thetas, degenerate
 
 
-def _histogram_vjp(g: np.ndarray, patch_of, thetas: np.ndarray, emit) -> None:
-    """Backward of :func:`_histogram_pass` at fixed thetas: for each block,
-    gather the <= 8 bins of every pixel, fold them back through atan2 and
-    sqrt, then through the central differences, and hand the patch gradient
-    (B,32,32) to emit(blk, g_patch)."""
+def _histogram_vjp(g: np.ndarray, patch_of, thetas: np.ndarray) -> np.ndarray:
+    """Backward of :func:`_histogram_pass` at fixed thetas: the (N,32,32)
+    float64 patch gradients.  For each block it gathers the <= 8 bins of
+    every pixel and folds them back through atan2 and sqrt, then through the
+    central differences."""
     n = len(thetas)
+    g_patches = np.empty((n, PATCH_SIZE, PATCH_SIZE))
     padded = np.zeros((n, _GRID, _GRID, _ORI_AXIS))
     padded[:, 2:-2, 2:-2, :-1] = g.reshape(n, DESC_SPATIAL_BINS, DESC_SPATIAL_BINS, DESC_ORI_BINS)
     padded[..., -1] = padded[..., 0]
@@ -479,7 +477,22 @@ def _histogram_vjp(g: np.ndarray, patch_of, thetas: np.ndarray, emit) -> None:
         g_ang = (gs[:, 1] - gs[:, 0]) * ((wo[:, 1] > 0) * _PER_RAD)
         # |grad| moves by (dx, dy) / |grad|, the angle by (-dy, dx) / |grad|^2
         scale = _SIFT_WINDOW / np.sqrt(d2 + _MAG_EPS)
-        emit(blk, _gradients_adjoint((g_mag * dx - g_ang * dy) * scale, (g_mag * dy + g_ang * dx) * scale))
+        g_patches[blk] = _gradients_adjoint((g_mag * dx - g_ang * dy) * scale, (g_mag * dy + g_ang * dx) * scale)
+    return g_patches
+
+
+def _histogram_node(parent: Var, n: int, patch_of, thetas, to_parent) -> tuple:
+    """:func:`_histogram_pass` of the N patches patch_of gives, as one tape
+    node on parent in parent's dtype.  Its vjp recomputes each block and
+    maps the (N,32,32) float64 patch gradients to parent's gradient with
+    to_parent.  Returns (histograms, thetas, degenerate)."""
+    hist, thetas, degenerate = _histogram_pass(n, patch_of, thetas)
+    dtype = parent.dtype
+
+    def vjp(g):
+        return (to_parent(_histogram_vjp(g, patch_of, thetas)).astype(dtype, copy=False),)
+
+    return _record(hist.astype(dtype, copy=False), (parent,), vjp), thetas, degenerate
 
 
 def _normalized(hist: Var, degenerate: np.ndarray) -> Var:
@@ -513,15 +526,6 @@ def dominant_orientations(patches) -> tuple:
     return theta, degenerate
 
 
-def dominant_orientation(patch) -> tuple:
-    """Single-patch convenience wrapper: (theta, degenerate flag)."""
-    arr = as_array(patch, np.float64)
-    if arr.ndim == 2:
-        arr = arr[None, None]
-    theta, degenerate = dominant_orientations(Var(arr))
-    return float(theta[0]), bool(degenerate[0])
-
-
 def sift_describe(patches, orientations=None) -> Var:
     """128-D SIFT descriptors for (N,1,32,32) patches (or one 32x32 patch).
 
@@ -543,20 +547,8 @@ def sift_describe(patches, orientations=None) -> Var:
         raise ShapeError(f"need {n} orientations, got shape {thetas.shape}")
     if not np.isfinite(thetas).all():
         raise ParameterError("orientations must be finite")
-    data, dtype = pv.data, pv.dtype
-    patch_of = lambda blk: data[blk, 0]
-    hist, _, degenerate = _histogram_pass(n, patch_of, thetas)
-
-    def vjp(g):
-        g_patches = np.empty((n, 1, s, s), dtype=dtype)
-
-        def emit(blk, g_blk):
-            g_patches[blk, 0] = g_blk
-
-        _histogram_vjp(g, patch_of, thetas, emit)
-        return (g_patches,)
-
-    return _normalized(_record(hist.astype(dtype, copy=False), (pv,), vjp), degenerate)
+    hist, _, degenerate = _histogram_node(pv, n, lambda blk: pv.data[blk, 0], thetas, lambda g: g[:, None])
+    return _normalized(hist, degenerate)
 
 
 # ---------------------------------------------------------------------------
@@ -722,8 +714,7 @@ def extract_patches_at(img, xs, ys, size: int = PATCH_SIZE) -> Var:
     img_shape = img.shape
 
     def vjp(g):
-        g_win = windows.blend_adjoint(g.reshape(m, size, size), slice(None))
-        return (windows.image_gradient(g_win).reshape(img_shape).astype(x_dtype, copy=False),)
+        return (windows.adjoint(g.reshape(m, size, size)).reshape(img_shape).astype(x_dtype, copy=False),)
 
     return _record(out, (img,), vjp)
 
@@ -736,14 +727,12 @@ class PyramidLevel:
 
 
 def hessian_pyramid(img, levels: int = 3, sigma: float = PYRAMID_BASE_SIGMA) -> list:
-    """Gaussian pyramid with a Hessian response map per level."""
+    """Gaussian pyramid (:func:`filters.gaussian_pyramid`) with a Hessian
+    response map per level, up to the first level too small for a patch."""
     img = as_var(img)
     _require_gray(img, "hessian_pyramid")
     out = []
-    cur = img
-    for lvl in range(levels):
-        if lvl:
-            cur = pyramid_down(cur)
+    for lvl, cur in enumerate(gaussian_pyramid(img, levels)):
         if min(cur.shape[2], cur.shape[3]) < PATCH_SIZE + 4:
             break
         resp = corner_response(cur, mode="hessian", sigma_int=sigma)
@@ -810,28 +799,15 @@ def _level_histograms(image: Var, xs: np.ndarray, ys: np.ndarray, thetas=None) -
     of a level image, as one tape node whose only parent is the image.
 
     Each block of patches is blended from its windows, differentiated and
-    voted in one pass (:func:`_histogram_pass`); with thetas None the patches
-    take their dominant orientations.  The vjp recomputes each block, runs
-    the votes, the central differences and the blend backwards, and ends in
+    voted in one pass (:func:`_histogram_node`); with thetas None the patches
+    take their dominant orientations.  The vjp ends in the windows' adjoint,
     one bincount over all windows.  Returns (histograms, thetas, degenerate).
     """
     if image.shape[0] != 1:
         raise ShapeError(f"keypoints are described on one image, got a batch of {image.shape[0]}")
     windows = _Windows(image.data[0, 0], xs, ys, PATCH_SIZE)
-    dtype, img_shape = image.dtype, image.shape
-    patch_of = lambda blk: windows.blend(blk).astype(dtype, copy=False)
-    hist, thetas, degenerate = _histogram_pass(len(xs), patch_of, thetas)
-
-    def vjp(g):
-        g_win = np.empty((len(thetas), PATCH_SIZE + 1, PATCH_SIZE + 1))
-
-        def emit(blk, g_blk):
-            g_win[blk] = windows.blend_adjoint(g_blk, blk)
-
-        _histogram_vjp(g, patch_of, thetas, emit)
-        return (windows.image_gradient(g_win).reshape(img_shape).astype(dtype, copy=False),)
-
-    return _record(hist.astype(dtype, copy=False), (image,), vjp), thetas, degenerate
+    patch_of = lambda blk: windows.blend(blk).astype(image.dtype, copy=False)
+    return _histogram_node(image, len(xs), patch_of, thetas, lambda g: windows.adjoint(g).reshape(image.shape))
 
 
 def _descriptors(hists: list, degenerate: list, order: list) -> Var:
@@ -885,44 +861,3 @@ def detect_and_describe(
     if not kps:
         return [], np.zeros((0, 128), dtype=img.dtype)
     return kps, describe(img, kps, pyramid=pyramid)
-
-
-# ---------------------------------------------------------------------------
-# CSV dumps
-
-
-def save_keypoints_csv(path, keypoints) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "scale", "orientation", "response"])
-        for k in keypoints:
-            writer.writerow([k.x, k.y, k.scale, k.orientation, k.response])
-
-
-def load_keypoints_csv(path) -> list:
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    return [
-        Keypoint(
-            x=float(r["x"]),
-            y=float(r["y"]),
-            scale=float(r["scale"]),
-            orientation=float(r["orientation"]),
-            response=float(r["response"]),
-        )
-        for r in rows
-    ]
-
-
-def save_matches_csv(path, matches) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["ia", "ib", "dist"])
-        for m in matches:
-            writer.writerow([m.ia, m.ib, m.distance])
-
-
-def load_matches_csv(path) -> list:
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    return [MatchPair(ia=int(r["ia"]), ib=int(r["ib"]), distance=float(r["dist"])) for r in rows]

@@ -257,5 +257,5 @@ def homography_warp(img, h, dsize=None, inverse_map: bool = False) -> Var:
     m = h if inverse_map else mat3_inverse(h)
     # output pixel -> output normalized -> (m) input normalized -> input pixel
     sx, sy = 0.5 * (wi - 1), 0.5 * (hi - 1)
-    to_pix = np.array([[sx, 0.0, sx], [0.0, sy, sy], [0.0, 0.0, 1.0]])
-    return _warp(img, matmul(matmul(to_pix, m), normal_transform_pixel(ho, wo)), (ho, wo))
+    to_pix = np.array([[sx, 0.0, sx], [0.0, sy, sy], [0.0, 0.0, 1.0]], m.dtype)
+    return _warp(img, matmul(matmul(to_pix, m), normal_transform_pixel(ho, wo).astype(m.dtype)), (ho, wo))

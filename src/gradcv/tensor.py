@@ -3,6 +3,10 @@
 A Var holds an immutable, row-major, contiguous float array.  Image batches
 always use the NCHW layout (batch x channel x height x width); public image
 operations require 4-D input and callers unsqueeze as needed.
+
+These helpers stay a module of their own, not folded into `tape.py`: the
+benchmark (`bench/workloads.py`) imports `gradcv.tensor.as_array`, and the
+benchmark's files change only together with the benchmark itself.
 """
 from __future__ import annotations
 

@@ -4,6 +4,7 @@ import pytest
 
 import gradcv as g
 from gradcv import features as ft
+from gradcv import filters
 from gradcv import geometry as geo
 from gradcv.demos import synthetic
 from gradcv.filters import gaussian_blur2d, spatial_gradient
@@ -79,8 +80,8 @@ def test_hessian_response_matches_two_call_formula():
 
 def test_hessian_pyramid_downsamples_only_between_levels(monkeypatch):
     calls = []
-    down = ft.pyramid_down
-    monkeypatch.setattr(ft, "pyramid_down", lambda x: calls.append(x.shape) or down(x))
+    down = filters.pyramid_down
+    monkeypatch.setattr(filters, "pyramid_down", lambda x: calls.append(x.shape) or down(x))
     pyramid = ft.hessian_pyramid(g.Var(textured_image((160, 160), seed=2)), levels=3)
     assert [lvl.image.shape[2] for lvl in pyramid] == [160, 80, 40]
     assert calls == [(1, 1, 160, 160), (1, 1, 80, 80)]
@@ -218,7 +219,7 @@ def _ramp_patch(angle=0.0):
 
 
 def test_orientation_ramp_x():
-    theta, degenerate = ft.dominant_orientation(_ramp_patch(0.0))
+    (theta,), (degenerate,) = ft.dominant_orientations(_ramp_patch(0.0)[None, None])
     assert not degenerate
     binw = 2 * np.pi / ft.ORI_HIST_BINS
     assert min(theta, 2 * np.pi - theta) <= binw
@@ -226,15 +227,15 @@ def test_orientation_ramp_x():
 
 def test_orientation_rotated_patch():
     base = textured_image((32, 32), seed=7)[0, 0]
-    t0, _ = ft.dominant_orientation(base)
-    t90, _ = ft.dominant_orientation(np.rot90(base, k=-1).copy())  # rotates gradients by +90
+    (t0,), _ = ft.dominant_orientations(base[None, None])
+    (t90,), _ = ft.dominant_orientations(np.rot90(base, k=-1)[None, None])  # rotates gradients by +90
     binw = 2 * np.pi / ft.ORI_HIST_BINS
     delta = np.mod(t90 - t0, 2 * np.pi)
     assert min(abs(delta - np.pi / 2), abs(delta - np.pi / 2 - 2 * np.pi)) <= 2 * binw
 
 
 def test_orientation_constant_degenerate():
-    theta, degenerate = ft.dominant_orientation(np.full((32, 32), 0.6))
+    (theta,), (degenerate,) = ft.dominant_orientations(np.full((1, 1, 32, 32), 0.6))
     assert degenerate
     assert theta == 0.0
 
@@ -263,10 +264,10 @@ def test_sift_rotation_invariance_with_theta():
     yy, xx = np.mgrid[0:32, 0:32]
     patch = 0.5 * patch + 0.5 * (0.5 + 0.5 * np.sin(xx * 0.7))
     rot = np.rot90(patch, k=-1).copy()
-    t_base, _ = ft.dominant_orientation(patch)
-    t_rot, _ = ft.dominant_orientation(rot)
-    d_base = ft.sift_describe(patch, np.array([t_base])).data[0]
-    d_rot = ft.sift_describe(rot, np.array([t_rot])).data[0]
+    t_base, _ = ft.dominant_orientations(patch[None, None])
+    t_rot, _ = ft.dominant_orientations(rot[None, None])
+    d_base = ft.sift_describe(patch, t_base).data[0]
+    d_rot = ft.sift_describe(rot, t_rot).data[0]
     dist_comp = np.linalg.norm(d_base - d_rot)
     d_base0 = ft.sift_describe(patch, np.array([0.0])).data[0]
     d_rot0 = ft.sift_describe(rot, np.array([0.0])).data[0]
@@ -738,12 +739,26 @@ def test_describe_nan_pixel_gives_nan_rows_without_warning():
     px, py = int(kps[0].x) - 1, int(kps[0].y) + 2
     bad = img.copy()
     bad[0, 0, py, px] = np.nan
-    out = ft.describe(g.Var(bad), [ft.Keypoint(**vars(k)) for k in kps]).data
+    bad_kps = [ft.Keypoint(**vars(k)) for k in kps]
+    out = ft.describe(g.Var(bad), bad_kps).data
     rows = np.isnan(out).any(axis=1)
     assert rows[0] and np.isnan(out[rows]).all()
+    # a patch that reads NaN has no orientation either
+    assert np.array_equal(np.isnan([k.orientation for k in bad_kps]), rows)
     far = np.array([max(abs(k.x - px), abs(k.y - py)) / 2**k.level > 20 for k in kps])
     assert far.sum() > 10 and not rows[far].any()
     assert np.array_equal(out[~rows], ref[~rows])
+
+
+def test_level_histograms_nan_theta_gives_nan_row_without_warning():
+    # the attack feeds frozen orientations back in, and one may be NaN
+    img = g.Var(textured_image((80, 80), seed=18, sigma=1.0), requires_grad=True)
+    xs, ys = np.array([40.0, 30.5]), np.array([40.0, 44.2])
+    ref, _, _ = ft._level_histograms(img, xs, ys, np.array([0.3, 1.2]))
+    hist, _, degenerate = ft._level_histograms(img, xs, ys, np.array([np.nan, 1.2]))
+    desc = ft._normalized(hist, degenerate)
+    assert np.isnan(desc.data[0]).all() and np.array_equal(hist.data[1], ref.data[1])
+    assert np.isnan(g.backward(desc[0].sum())[img].data).any()
 
 
 def test_extract_patches_at_half_integer_centers_copy_the_window():
@@ -1092,13 +1107,3 @@ def test_translation_equivariant_matching():
     h, mask = ft.ransac_homography(pts_a, pts_b, threshold=2.0, max_iters=500, seed=3)
     assert abs(h[0, 2] - 10.0) < 0.5
     assert abs(h[1, 2]) < 0.5
-
-
-def test_keypoint_and_match_csv_roundtrip(tmp_path):
-    kps = [ft.Keypoint(x=1.5, y=2.25, scale=1.6, orientation=0.7, response=0.01)]
-    ft.save_keypoints_csv(tmp_path / "k.csv", kps)
-    back = ft.load_keypoints_csv(tmp_path / "k.csv")
-    assert back == kps
-    matches = [ft.MatchPair(ia=3, ib=5, distance=0.125)]
-    ft.save_matches_csv(tmp_path / "m.csv", matches)
-    assert ft.load_matches_csv(tmp_path / "m.csv") == matches

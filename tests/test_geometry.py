@@ -511,6 +511,17 @@ def test_shared_map_equals_per_sample_copies():
         geo.homography_warp(g.Var(rng.random((3, 1, 6, 8))), np.concatenate([m, m]))
 
 
+@pytest.mark.parametrize("inverse_map", [False, True])
+def test_homography_warp_float32_in_gives_float32_out_and_gradients(inverse_map, node_dtypes):
+    rng = np.random.default_rng(9)
+    img = g.Var(rng.random((2, 1, 6, 8)).astype(np.float32), requires_grad=True)
+    m = g.Var(_near_identity(rng, 2, 0.05).astype(np.float32), requires_grad=True)
+    out = geo.homography_warp(img, m, inverse_map=inverse_map)
+    grads = g.backward((out * out).mean())
+    assert out.dtype == grads[img].dtype == grads[m].dtype == np.float32
+    assert node_dtypes and set(node_dtypes) == {np.dtype(np.float32)}  # every node and every vjp output
+
+
 # --- depth_warp and mat3_inverse against their former formulas ------------------
 
 
