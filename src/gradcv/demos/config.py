@@ -15,9 +15,12 @@ from ..optim import Adam, SgdMomentum
 class RunConfig:
     """Knobs for the coarse-to-fine optimization demos.
 
-    `iters` counts iterations per pyramid level (0 = evaluate only).  Loss
-    weights: alpha blends SSIM vs L1 (depth) or scales the descriptor term
-    (attack); lam weights depth smoothness; beta weights the attack's
+    `iters` counts iterations per pyramid level.  iters=0 evaluates only:
+    `register` and `estimate_depth` return their initial state (identity
+    homography, coarse initial depth) with no trace row and final_loss (and
+    initial_loss) from one evaluation; `attack` returns the images unchanged.
+    Loss weights: alpha blends SSIM vs L1 (depth) or scales the descriptor
+    term (attack); lam weights depth smoothness; beta weights the attack's
     perturbation penalty.
     """
 

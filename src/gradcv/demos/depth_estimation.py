@@ -86,9 +86,11 @@ def estimate_depth(views, config: RunConfig | None = None, ref_index: int = 0) -
     sizes = []
     for lvl in range(config.levels - 1, -1, -1):
         sizes.append((max(2, h_full >> lvl), max(2, w_full >> lvl)))
+    if not config.iters:  # evaluate only: the initial depth, once and untracked
+        sizes = sizes[:1]
     # init uniform in (0,1] at the coarsest resolution
     init = 1.0 - rng.random((1, 1) + sizes[0])
-    depth_param = Var(init, requires_grad=True)
+    depth_param = Var(init, requires_grad=config.iters > 0)
 
     result = DepthResult(depth=Var(init))
     out_dir = config.ensure_out_dir()
@@ -99,8 +101,7 @@ def estimate_depth(views, config: RunConfig | None = None, ref_index: int = 0) -
                 upsample_bilinear(depth_param.detach(), size).data, requires_grad=True
             )
         opt = make_optimizer(config, [depth_param])
-        warped_views = []
-        for _ in range(config.iters):
+        for _ in range(config.iters or 1):
             d_full = upsample_bilinear(maximum(depth_param, _DEPTH_FLOOR), (h_full, w_full))
             loss = None
             warped_views = []
@@ -117,17 +118,17 @@ def estimate_depth(views, config: RunConfig | None = None, ref_index: int = 0) -
                 raise OptimizationError(f"depth optimization diverged (loss={lv})")
             if step == 0:
                 result.initial_loss = lv
-            result.trace.append((step, level_idx, lv))
-            step += 1
-            grads = backward(loss)
-            opt.step(grads)
+            if config.iters:
+                result.trace.append((step, level_idx, lv))
+                step += 1
+                opt.step(backward(loss))
         if out_dir:
             for vi, wv in enumerate(warped_views):
                 save_image(os.path.join(out_dir, f"warped_l{level_idx}_v{vi}.ppm"), wv)
             err = np.abs(warped_views[0].data - ref_img.data).mean(axis=1)[0]
             save_image(os.path.join(out_dir, f"error_l{level_idx}.pgm"), np.clip(err, 0, 1))
 
-    result.final_loss = result.trace[-1][2]
+    result.final_loss = lv
     result.depth = Var(np.maximum(depth_param.data, _DEPTH_FLOOR))
     result.warped = []
     d_full = upsample_bilinear(result.depth, (h_full, w_full))

@@ -15,6 +15,7 @@ import numpy as np
 
 from ..errors import OptimizationError, ShapeError
 from ..filters import gaussian_pyramid
+from ..geometry.linalg import inverse_transform
 from ..geometry.transforms import denormalize_homography, homography_warp
 from ..imgio import save_image
 from ..tape import Var, as_var, backward, concat, mean
@@ -34,6 +35,7 @@ def register(img_src, img_dst, config: RunConfig | None = None) -> RegistrationR
 
     Both images are NCHW with matching shapes (grayscale or RGB).  Returns
     the pixel-coordinate homography H with warp_perspective(src, H) ~ dst.
+    Raises EstimationError when the final map is singular.
     """
     config = config or RunConfig(levels=4, iters=200, lr=1e-3)
     src = as_var(img_src)
@@ -47,36 +49,36 @@ def register(img_src, img_dst, config: RunConfig | None = None) -> RegistrationR
     pyr_src = gaussian_pyramid(src.detach(), config.levels)
     pyr_dst = gaussian_pyramid(dst.detach(), config.levels)
 
-    # 8 free entries of the dst->src normalized map (inverse warp), row-major
-    params = Var(np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]), requires_grad=True)
+    # 8 free entries of the dst->src normalized map (inverse warp), row-major;
+    # iters=0 evaluates this initial map once, untracked, at full resolution
+    params = Var(np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]), requires_grad=config.iters > 0)
     one = np.ones(1)
 
     result = RegistrationResult(homography=np.eye(3))
     out_dir = config.ensure_out_dir()
     step = 0
-    for level in range(config.levels - 1, -1, -1):
+    for level in range(config.levels - 1, -1, -1) if config.iters else (0,):
         level_src = pyr_src[min(level, len(pyr_src) - 1)]
         level_dst = pyr_dst[min(level, len(pyr_dst) - 1)]
         opt = make_optimizer(config, [params])
-        warped = None
-        for _ in range(config.iters):
+        for _ in range(config.iters or 1):
             m = concat([params, one], axis=0).reshape((1, 3, 3))
             warped = homography_warp(level_src, m, inverse_map=True)
             loss = mean(abs(warped - level_dst))
             lv = float(loss.data)
             if not np.isfinite(lv):
                 raise OptimizationError(f"registration diverged at level {level} (loss={lv})")
-            result.trace.append((step, level, lv))
-            step += 1
-            grads = backward(loss)
-            opt.step(grads)
+            if config.iters:
+                result.trace.append((step, level, lv))
+                step += 1
+                opt.step(backward(loss))
         result.warped.append(warped.detach())
-        result.final_loss = result.trace[-1][2]
+        result.final_loss = lv
         if out_dir:
             save_image(os.path.join(out_dir, f"warped_level{level}.ppm"), warped)
 
     m_norm = np.append(params.data, 1.0).reshape(3, 3)  # dst_norm -> src_norm
-    h_norm = np.linalg.inv(m_norm)  # src_norm -> dst_norm
+    h_norm = inverse_transform(m_norm)  # src_norm -> dst_norm
     result.homography = denormalize_homography(h_norm, (h_img, w_img), (h_img, w_img))
     result.homography /= result.homography[2, 2]
     if out_dir:

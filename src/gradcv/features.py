@@ -202,6 +202,10 @@ def refine_positions(response: Var, ys: np.ndarray, xs: np.ndarray, clamp: bool 
     h, w = r.shape
     ys = np.asarray(ys, dtype=np.int64)
     xs = np.asarray(xs, dtype=np.int64)
+    if ys.shape != xs.shape:
+        raise ShapeError(f"ys and xs must share a shape, got {ys.shape} and {xs.shape}")
+    if ((ys < 0) | (ys >= h) | (xs < 0) | (xs >= w)).any():
+        raise ParameterError(f"positions must lie inside the {h}x{w} response map")
     interior_x = (xs > 0) & (xs < w - 1)
     interior_y = (ys > 0) & (ys < h - 1)
 
@@ -757,6 +761,8 @@ def detect(
     A prebuilt `pyramid` of `img` (from :func:`hessian_pyramid`) is used
     as given, in place of building one with `levels` levels.
     """
+    if max_keypoints < 0:
+        raise ParameterError(f"max_keypoints must be >= 0, got {max_keypoints}")
     if pyramid is None:
         pyramid = hessian_pyramid(img, levels)
     margin = PATCH_SIZE // 2 + 1

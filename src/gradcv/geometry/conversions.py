@@ -9,7 +9,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DegenerateError, ParameterError, ShapeError
-from ..tape import Var, as_var, concat, where
+from ..tape import Var, as_var, concat
+from .transforms import _normal_to_pixel, _require_invertible, normal_transform_pixel
 
 _W_EPS = 1e-12
 
@@ -43,25 +44,24 @@ def convert_points_from_homogeneous(points) -> Var:
 
 
 def normalize_pixel_coordinates(points, height: int, width: int) -> Var:
-    """Map pixel (u,v) into [-1,1]^2 with -1/+1 at the outer pixel centers."""
-    if height < 2 or width < 2:
-        raise ParameterError(f"image extent must be >= 2, got {height}x{width}")
-    pts = as_var(points)
-    if pts.shape[-1] != 2:
-        raise ShapeError(f"expected (...,2) pixel coordinates, got {pts.shape}")
-    scale = np.array([2.0 / (width - 1), 2.0 / (height - 1)])
-    return pts * scale - 1.0
+    """Map pixel (u,v) into [-1,1]^2 with -1/+1 at the outer pixel centers,
+    by :func:`~gradcv.geometry.transforms.normal_transform_pixel`."""
+    _require_invertible((height, width), "normalize_pixel_coordinates")
+    return _scale_and_shift(points, normal_transform_pixel(height, width))
 
 
 def denormalize_pixel_coordinates(points, height: int, width: int) -> Var:
     """Inverse of :func:`normalize_pixel_coordinates`."""
-    if height < 2 or width < 2:
-        raise ParameterError(f"image extent must be >= 2, got {height}x{width}")
+    _require_invertible((height, width), "denormalize_pixel_coordinates")
+    return _scale_and_shift(points, _normal_to_pixel((height, width)))
+
+
+def _scale_and_shift(points, m: np.ndarray) -> Var:
+    """(...,2) points through the diagonal 3x3 coordinate map m."""
     pts = as_var(points)
     if pts.shape[-1] != 2:
         raise ShapeError(f"expected (...,2) coordinates, got {pts.shape}")
-    scale = np.array([(width - 1) / 2.0, (height - 1) / 2.0])
-    return (pts + 1.0) * scale
+    return pts * m[[0, 1], [0, 1]] + m[:2, 2]
 
 
 # --- rotations (numpy, wxyz quaternions, w >= 0 canonical) -------------------
@@ -85,7 +85,7 @@ def quaternion_to_rotation_matrix(q) -> np.ndarray:
 
 
 def rotation_matrix_to_quaternion(m) -> np.ndarray:
-    """Shepperd's method; returns wxyz with w >= 0."""
+    """Shepperd's method (1978); returns wxyz with w >= 0."""
     m = np.asarray(m, dtype=np.float64)
     if m.shape != (3, 3):
         raise ShapeError(f"rotation matrix must be (3,3), got {m.shape}")
@@ -96,22 +96,16 @@ def rotation_matrix_to_quaternion(m) -> np.ndarray:
             [0.25 * s, (m[2, 1] - m[1, 2]) / s, (m[0, 2] - m[2, 0]) / s, (m[1, 0] - m[0, 1]) / s]
         )
     else:
+        # the largest diagonal entry i and its cyclic successors j, k
         i = int(np.argmax(np.diag(m)))
-        if i == 0:
-            s = np.sqrt(1.0 + m[0, 0] - m[1, 1] - m[2, 2]) * 2
-            q = np.array(
-                [(m[2, 1] - m[1, 2]) / s, 0.25 * s, (m[0, 1] + m[1, 0]) / s, (m[0, 2] + m[2, 0]) / s]
-            )
-        elif i == 1:
-            s = np.sqrt(1.0 - m[0, 0] + m[1, 1] - m[2, 2]) * 2
-            q = np.array(
-                [(m[0, 2] - m[2, 0]) / s, (m[0, 1] + m[1, 0]) / s, 0.25 * s, (m[1, 2] + m[2, 1]) / s]
-            )
-        else:
-            s = np.sqrt(1.0 - m[0, 0] - m[1, 1] + m[2, 2]) * 2
-            q = np.array(
-                [(m[1, 0] - m[0, 1]) / s, (m[0, 2] + m[2, 0]) / s, (m[1, 2] + m[2, 1]) / s, 0.25 * s]
-            )
+        j, k = (i + 1) % 3, (i + 2) % 3
+        d = np.diag(m) * np.where(np.arange(3) == i, 1.0, -1.0)
+        s = np.sqrt(1.0 + d[0] + d[1] + d[2]) * 2
+        q = np.empty(4)
+        q[0] = (m[k, j] - m[j, k]) / s
+        q[1 + i] = 0.25 * s
+        q[1 + j] = (m[i, j] + m[j, i]) / s
+        q[1 + k] = (m[i, k] + m[k, i]) / s
     q /= np.linalg.norm(q)
     return q if q[0] >= 0 else -q
 

@@ -17,7 +17,7 @@ import numpy as np
 from ..errors import ShapeError
 from ..tape import Var, as_var, concat, sqrt, where
 from .camera import PinholeCamera
-from .linalg import inverse_transform
+from .linalg import inverse_transform, relative_transform
 from .transforms import _dehomogenize_and_sample, _pixel_grid
 
 _Z_EPS = 1e-6
@@ -76,7 +76,7 @@ def depth_warp(src_img, depth_ref, cam_src: PinholeCamera, cam_ref: PinholeCamer
     if depth_ref.ndim != 4 or depth_ref.shape[1] != 1:
         raise ShapeError(f"depth must be (N,1,H,W), got {depth_ref.shape}")
     n, _, h, w = depth_ref.shape
-    t_rel = cam_src.extrinsics @ inverse_transform(cam_ref.extrinsics)
+    t_rel = relative_transform(cam_ref.extrinsics, cam_src.extrinsics)
     rays = cam_src.k @ t_rel[:3, :3] @ _rays(cam_ref, h, w)  # (3,P) K_src R K_ref^-1 [u,v,1]
     offset = (cam_src.k @ t_rel[:3, 3])[:, None]  # (3,1) K_src t
     p = depth_ref.reshape((n, 1, h * w)) * rays + offset  # (N,3,P) homogeneous source pixels

@@ -3,13 +3,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import EstimationError, ShapeError
+from ..errors import ShapeError
 from ..tape import Var, as_var, matmul
 from ..tensor import as_array
 from .conversions import (
     convert_points_from_homogeneous,
     convert_points_to_homogeneous,
 )
+from .transforms import mat3_inverse
 
 
 def transform_points(t, points) -> Var:
@@ -36,7 +37,9 @@ def compose_transforms(t2, t1) -> np.ndarray:
 
 
 def inverse_transform(t) -> np.ndarray:
-    """Inverse transform; 4x4 inputs use the rigid closed form."""
+    """Inverse transform; 4x4 inputs use the rigid closed form and 3x3 inputs
+    :func:`~gradcv.geometry.transforms.mat3_inverse`, which raises
+    EstimationError for a singular matrix."""
     m = as_array(t, np.float64)
     if m.shape == (4, 4):
         r = m[:3, :3]
@@ -45,9 +48,7 @@ def inverse_transform(t) -> np.ndarray:
         out[:3, 3] = -r.T @ m[:3, 3]
         return out
     if m.shape == (3, 3):
-        if abs(np.linalg.det(m)) < 1e-12:
-            raise EstimationError("singular transform")
-        return np.linalg.inv(m)
+        return mat3_inverse(m).numpy()[0]
     raise ShapeError(f"transform must be (3,3) or (4,4), got {m.shape}")
 
 

@@ -20,6 +20,10 @@ homogeneous points then go through one tail, `_dehomogenize_and_sample`:
 the perspective divide, guarded by a caller's validity mask, and one
 `sample_bilinear`.  `geometry.depth.depth_warp` builds its homogeneous
 source pixels from the reference depth and ends in the same tail.
+
+`normal_transform_pixel` (pixel -> normalized [-1,1]) and its closed-form
+inverse `_normal_to_pixel` are the one pixel <-> normalized map, for the
+homography normalizers, `homography_warp` and the point normalizers.
 """
 from __future__ import annotations
 
@@ -33,20 +37,21 @@ from ..tensor import as_array
 _DET_EPS = 1e-12
 
 
-def _as_batched_mat3(h) -> Var:
-    h = as_var(h)
-    if h.ndim == 2:
-        h = h.reshape((1, 3, 3))
-    if h.ndim != 3 or h.shape[1:] != (3, 3):
-        raise ShapeError(f"expected (N,3,3) or (3,3) matrix, got {h.shape}")
-    return h
+def _as_batched(m, shape=(3, 3)) -> Var:
+    """m as a (N,)+shape batch of matrices; a single matrix becomes N = 1."""
+    m = as_var(m)
+    if m.ndim == 2:
+        m = m.reshape((1,) + m.shape)
+    if m.ndim != 3 or m.shape[1:] != shape:
+        raise ShapeError(f"expected (N,{shape[0]},{shape[1]}) or {shape} matrix, got {m.shape}")
+    return m
 
 
 def mat3_inverse(h) -> Var:
     """Differentiable batched 3x3 inverse: one tape node whose vjp maps G to
     -H^-T G H^-T.  Raises EstimationError when some |det H| < 1e-12; a NaN
     matrix passes the check and inverts to NaN."""
-    h = _as_batched_mat3(h)
+    h = _as_batched(h)
     with np.errstate(invalid="ignore", over="ignore"):  # NaN or huge entries: no warning
         det = np.linalg.det(h.data)
     if np.any(np.abs(det) < _DET_EPS):
@@ -183,11 +188,7 @@ def warp_perspective(img, h, dsize=None) -> Var:
 
 def warp_affine(img, m, dsize=None) -> Var:
     """Warp by a (N,2,3)/(2,3) affine matrix; same path as warp_perspective."""
-    m = as_var(m)
-    if m.ndim == 2:
-        m = m.reshape((1, 2, 3))
-    if m.ndim != 3 or m.shape[1:] != (2, 3):
-        raise ShapeError(f"expected (N,2,3) affine matrix, got {m.shape}")
+    m = _as_batched(m, (2, 3))
     bottom = np.tile(np.array([[[0.0, 0.0, 1.0]]]), (m.shape[0], 1, 1))
     return warp_perspective(img, concat([m, as_var(bottom)], axis=1), dsize)
 
@@ -214,13 +215,18 @@ def normal_transform_pixel(height: int, width: int) -> np.ndarray:
     return np.array([[sx, 0.0, ox], [0.0, sy, oy], [0.0, 0.0, 1.0]])
 
 
-def _normal_to_pixel(size, who: str) -> np.ndarray:
-    """Inverse of :func:`normal_transform_pixel`; a 1-pixel extent maps every
-    coordinate to normalized 0 and has none."""
+def _normal_to_pixel(size, dtype=np.float64) -> np.ndarray:
+    """Normalized -> pixel matrix of an (H, W) image, the closed-form inverse
+    of :func:`normal_transform_pixel` for extents >= 2."""
     height, width = size
-    if min(height, width) < 2:
-        raise ParameterError(f"{who} needs extents of at least 2 pixels, got {height}x{width}")
-    return np.linalg.inv(normal_transform_pixel(height, width))
+    sx, sy = 0.5 * (width - 1), 0.5 * (height - 1)
+    return np.array([[sx, 0.0, sx], [0.0, sy, sy], [0.0, 0.0, 1.0]], dtype)
+
+
+def _require_invertible(size, who: str) -> None:
+    """A 1-pixel extent maps every pixel to normalized 0, so its map has no inverse."""
+    if min(size) < 2:
+        raise ParameterError(f"{who} needs extents of at least 2 pixels, got {size[0]}x{size[1]}")
 
 
 def normalize_homography(h_pix: np.ndarray, src_size, dst_size) -> np.ndarray:
@@ -228,8 +234,9 @@ def normalize_homography(h_pix: np.ndarray, src_size, dst_size) -> np.ndarray:
 
     Raises ParameterError for a 1-pixel extent in src_size.
     """
+    _require_invertible(src_size, "normalize_homography")
     n_dst = normal_transform_pixel(*dst_size)
-    return n_dst @ as_array(h_pix, np.float64) @ _normal_to_pixel(src_size, "normalize_homography")
+    return n_dst @ as_array(h_pix, np.float64) @ _normal_to_pixel(src_size)
 
 
 def denormalize_homography(h_norm: np.ndarray, src_size, dst_size) -> np.ndarray:
@@ -237,8 +244,9 @@ def denormalize_homography(h_norm: np.ndarray, src_size, dst_size) -> np.ndarray
 
     Raises ParameterError for a 1-pixel extent in dst_size.
     """
+    _require_invertible(dst_size, "denormalize_homography")
     n_src = normal_transform_pixel(*src_size)
-    return _normal_to_pixel(dst_size, "denormalize_homography") @ as_array(h_norm, np.float64) @ n_src
+    return _normal_to_pixel(dst_size) @ as_array(h_norm, np.float64) @ n_src
 
 
 def homography_warp(img, h, dsize=None, inverse_map: bool = False) -> Var:
@@ -251,11 +259,10 @@ def homography_warp(img, h, dsize=None, inverse_map: bool = False) -> Var:
     img = as_var(img)
     if img.ndim != 4:
         raise ShapeError(f"homography_warp expects NCHW input, got {img.shape}")
-    h = _as_batched_mat3(h)
+    h = _as_batched(h)
     hi, wi = img.shape[2:]
     ho, wo = dsize if dsize is not None else (hi, wi)
     m = h if inverse_map else mat3_inverse(h)
     # output pixel -> output normalized -> (m) input normalized -> input pixel
-    sx, sy = 0.5 * (wi - 1), 0.5 * (hi - 1)
-    to_pix = np.array([[sx, 0.0, sx], [0.0, sy, sy], [0.0, 0.0, 1.0]], m.dtype)
+    to_pix = _normal_to_pixel((hi, wi), m.dtype)
     return _warp(img, matmul(matmul(to_pix, m), normal_transform_pixel(ho, wo).astype(m.dtype)), (ho, wo))

@@ -244,15 +244,12 @@ def upsample_bilinear(x, size: Tuple[int, int]) -> Var:
     x = as_var(x)
     _require_4d(x, "upsample_bilinear")
     n, _, h, w = x.shape
-    ho, wo = size
-    if wo > 1:
-        jx = np.arange(wo, dtype=x.dtype) * ((w - 1) / (wo - 1))
-    else:
-        jx = np.zeros(1, dtype=x.dtype)
-    if ho > 1:
-        jy = np.arange(ho, dtype=x.dtype) * ((h - 1) / (ho - 1))
-    else:
-        jy = np.zeros(1, dtype=x.dtype)
+    ho, wo = (int(v) for v in size)
+    if ho < 1 or wo < 1:
+        raise ParameterError(f"output size must be >= 1, got ({ho},{wo})")
+    # corner-aligned source coordinates; a 1-pixel output samples pixel 0
+    jx = np.arange(wo, dtype=x.dtype) * ((w - 1) / max(wo - 1, 1))
+    jy = np.arange(ho, dtype=x.dtype) * ((h - 1) / max(ho - 1, 1))
     # fresh grids, wrapped without the copy a Var of a plain array makes
     px = Var._wrap(np.broadcast_to(jx[None, None, :], (n, ho, wo)).copy())
     py = Var._wrap(np.broadcast_to(jy[None, :, None], (n, ho, wo)).copy())
@@ -268,8 +265,8 @@ def extract_patches(x, window: Tuple[int, int], stride: Tuple[int, int]) -> Var:
     _require_4d(x, "extract_patches")
     h, w = (int(v) for v in window)
     sh, sw = (int(v) for v in stride)
-    if sh < 1 or sw < 1:
-        raise ParameterError(f"stride must be >= 1, got ({sh},{sw})")
+    if min(h, w, sh, sw) < 1:
+        raise ParameterError(f"window and stride must be >= 1, got ({h},{w}) and ({sh},{sw})")
     n, c, hh, ww = x.shape
     if h > hh or w > ww:
         raise ParameterError(f"window {h}x{w} larger than image {hh}x{ww}")

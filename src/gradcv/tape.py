@@ -14,6 +14,7 @@ stay on one thread from first record to the end of backward.
 """
 from __future__ import annotations
 
+import math
 import threading
 from typing import Any, Callable, Iterable, Optional, Sequence, Union
 
@@ -217,11 +218,9 @@ class Var:
         return backward(self)
 
 
-def as_var(x: ArrayLike, dtype=None) -> Var:
+def as_var(x: ArrayLike) -> Var:
     """Coerce to a Var; non-Var inputs become constants."""
-    if isinstance(x, Var):
-        return x
-    return Var(x, requires_grad=False, dtype=dtype)
+    return x if isinstance(x, Var) else Var(x)
 
 
 _ambient = threading.local()
@@ -343,18 +342,25 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g.reshape(shape)
 
 
+_REAL = (int, float, np.integer, np.floating)
+
+
 def _binary(a, b, fwd, vjp_builder) -> Var:
     """Common path for broadcasting binary ops.
 
-    Python scalars stay raw so numpy's weak promotion keeps float32 inputs
-    float32; array-likes become constant Vars.
+    A real scalar operand beside a Var, Python or NumPy, is weak: it enters
+    the op as a Python number, so numpy's weak promotion gives the result the
+    Var's dtype (a float32 Var stays float32).  Every other operand becomes a
+    Var, array-likes as constants.
     """
-    if isinstance(a, Var) and isinstance(b, (int, float)):
+    if isinstance(a, Var) and isinstance(b, _REAL):
+        b = b.item() if isinstance(b, np.generic) else b
         out = fwd(a.data, b)
         vjps = vjp_builder(a.data, b)
         sa = a.shape
         return _record(out, (a,), lambda g: (_unbroadcast(vjps[0](g), sa),))
-    if isinstance(b, Var) and isinstance(a, (int, float)):
+    if isinstance(b, Var) and isinstance(a, _REAL):
+        a = a.item() if isinstance(a, np.generic) else a
         out = fwd(a, b.data)
         vjps = vjp_builder(a, b.data)
         sb = b.shape
@@ -397,56 +403,46 @@ def div(a, b) -> Var:
 
 def pow_(a, b) -> Var:
     """Elementwise power.  Gradient w.r.t. the exponent needs a > 0."""
+    return _binary(a, b, lambda x, y: x ** y, lambda x, y: (
+        lambda g: g * y * x ** (y - 1.0),
+        lambda g: g * x ** y * np.log(np.maximum(x, 1e-300)),
+    ))
 
-    def vjps(x, y):
-        out = x ** y
-        return (
-            lambda g: g * y * x ** (y - 1.0),
-            lambda g: g * out * np.log(np.maximum(x, 1e-300)),
-        )
 
-    return _binary(a, b, lambda x, y: x ** y, vjps)
+def _unary(a, fwd, vjp_of) -> Var:
+    """Elementwise op on one Var; vjp_of(x, out) builds its vjp."""
+    a = as_var(a)
+    out = fwd(a.data)
+    return _record(out, (a,), vjp_of(a.data, out))
 
 
 def neg(a) -> Var:
-    a = as_var(a)
-    return _record(-a.data, (a,), lambda g: (-g,))
+    return _unary(a, np.negative, lambda x, out: lambda g: (-g,))
 
 
 def abs_(a) -> Var:
-    a = as_var(a)
-    s = np.sign(a.data)  # sign(0) == 0: abs'(0) = 0 by convention
-    return _record(np.abs(a.data), (a,), lambda g: (g * s,))
+    # sign(0) == 0: abs'(0) = 0 by convention
+    return _unary(a, np.abs, lambda x, out: lambda g: (g * np.sign(x),))
 
 
 def exp(a) -> Var:
-    a = as_var(a)
-    out = np.exp(a.data)
-    return _record(out, (a,), lambda g: (g * out,))
+    return _unary(a, np.exp, lambda x, out: lambda g: (g * out,))
 
 
 def log(a) -> Var:
-    a = as_var(a)
-    ad = a.data
-    return _record(np.log(ad), (a,), lambda g: (g / ad,))
+    return _unary(a, np.log, lambda x, out: lambda g: (g / x,))
 
 
 def sqrt(a) -> Var:
-    a = as_var(a)
-    out = np.sqrt(a.data)
-    return _record(out, (a,), lambda g: (g * (0.5 / out),))
+    return _unary(a, np.sqrt, lambda x, out: lambda g: (g * (0.5 / out),))
 
 
 def sin(a) -> Var:
-    a = as_var(a)
-    ad = a.data
-    return _record(np.sin(ad), (a,), lambda g: (g * np.cos(ad),))
+    return _unary(a, np.sin, lambda x, out: lambda g: (g * np.cos(x),))
 
 
 def cos(a) -> Var:
-    a = as_var(a)
-    ad = a.data
-    return _record(np.cos(ad), (a,), lambda g: (-g * np.sin(ad),))
+    return _unary(a, np.cos, lambda x, out: lambda g: (-g * np.sin(x),))
 
 
 def atan2(y, x) -> Var:
@@ -457,56 +453,35 @@ def atan2(y, x) -> Var:
     return _binary(y, x, np.arctan2, vjps)
 
 
-def maximum(a, b) -> Var:
-    def vjps(x, y):
-        m = x >= y  # tie -> first operand
-        return (lambda g: g * m, lambda g: g * ~m)
+def _select(m) -> tuple:
+    """vjps of an elementwise pick of the first operand where m, else the second."""
+    return (lambda g: g * m, lambda g: g * ~m)
 
-    return _binary(a, b, np.maximum, vjps)
+
+def maximum(a, b) -> Var:
+    return _binary(a, b, np.maximum, lambda x, y: _select(x >= y))  # tie -> first operand
 
 
 def minimum(a, b) -> Var:
-    def vjps(x, y):
-        m = x <= y  # tie -> first operand
-        return (lambda g: g * m, lambda g: g * ~m)
-
-    return _binary(a, b, np.minimum, vjps)
+    return _binary(a, b, np.minimum, lambda x, y: _select(x <= y))  # tie -> first operand
 
 
 def clamp(a, lo=None, hi=None) -> Var:
-    """Clip to [lo, hi].  Gradient passes where lo <= x <= hi (x is the
-    first operand, so exact boundary hits still propagate)."""
-    a = as_var(a)
-    x = a.data
-    out = np.clip(x, lo, hi)
-    m = np.ones(x.shape, dtype=bool)
+    """Clip to [lo, hi]: `maximum` with lo, then `minimum` with hi.  Ties go
+    to the first operand, so the gradient passes where lo <= x <= hi."""
+    out = as_var(a)
     if lo is not None:
-        m &= x >= lo
-    if hi is not None:
-        m &= x <= hi
-    return _record(out, (a,), lambda g: (g * m,))
+        out = maximum(out, lo)
+    return out if hi is None else minimum(out, hi)
 
 
 def where(cond, a, b) -> Var:
     """Select by a constant boolean mask (the mask is not differentiated)."""
     c = as_array(cond).astype(bool)
-    # a Python-scalar branch takes the other branch's dtype, as in _binary
-    if isinstance(a, (int, float)):
-        bv = as_var(b)
-        av = as_var(a, bv.dtype)
-    else:
-        av = as_var(a)
-        bv = as_var(b, av.dtype if isinstance(b, (int, float)) else None)
-    out = np.where(c, av.data, bv.data)
-    sa, sb = av.shape, bv.shape
-
-    def vjp(g):
-        return (
-            _unbroadcast(np.where(c, g, 0.0), sa),
-            _unbroadcast(np.where(c, 0.0, g), sb),
-        )
-
-    return _record(out, (av, bv), vjp)
+    return _binary(
+        a, b, lambda x, y: np.where(c, x, y),
+        lambda x, y: (lambda g: np.where(c, g, 0.0), lambda g: np.where(c, 0.0, g)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -537,50 +512,39 @@ def sum_(a, axis=None, keepdims=False) -> Var:
 
 def mean(a, axis=None, keepdims=False) -> Var:
     a = as_var(a)
-    axes = _axis_tuple(axis, a.ndim)
-    n = 1
-    for ax in axes:
-        n *= a.shape[ax]
+    n = math.prod(a.shape[ax] for ax in _axis_tuple(axis, a.ndim))
     return sum_(a, axis, keepdims) * (1.0 / n)
 
 
-def _extreme(a, axis, keepdims, argfn, redfn) -> Var:
-    """Shared min/max reduction; ties give the gradient to the first element
-    in scan order (argmin/argmax pick the first occurrence)."""
+def _extreme(a, axis, keepdims, argfn) -> Var:
+    """Shared min/max reduction over the axes `sum_` takes; ties give the
+    gradient to the first element in scan order (argmin/argmax pick the
+    first occurrence)."""
     a = as_var(a)
-    x = a.data
-    if axis is None:
-        out = redfn(x)
-        flat = int(argfn(x))
-
-        def vjp(g):
-            buf = np.zeros_like(x)
-            buf.reshape(-1)[flat] = np.asarray(g).reshape(-1)[0]
-            return (buf,)
-
-        return _record(np.asarray(out), (a,), vjp)
-    ax = axis % a.ndim
-    idx = argfn(x, axis=ax)
-    out = np.take_along_axis(x, np.expand_dims(idx, ax), ax)
-    if not keepdims:
-        out = np.squeeze(out, ax)
+    axes = tuple(sorted(_axis_tuple(axis, a.ndim)))
+    order = tuple(i for i in range(a.ndim) if i not in axes) + axes
+    kept = tuple(a.shape[i] for i in order[: a.ndim - len(axes)])
+    x = a.data.transpose(order).reshape(kept + (-1,))  # reduced axes flattened last
+    idx = np.expand_dims(argfn(x, axis=-1), -1)
+    out = np.take_along_axis(x, idx, -1).reshape(kept)
+    if keepdims:
+        out = np.expand_dims(out, axes)
+    flat, moved, dtype = x.shape, tuple(a.shape[i] for i in order), a.dtype
 
     def vjp(g):
-        if not keepdims:
-            g = np.expand_dims(g, ax)
-        buf = np.zeros_like(x)
-        np.put_along_axis(buf, np.expand_dims(idx, ax), g, ax)
-        return (buf,)
+        buf = np.zeros(flat, dtype)
+        np.put_along_axis(buf, idx, np.reshape(g, idx.shape), -1)
+        return (buf.reshape(moved).transpose(np.argsort(order)),)
 
     return _record(out, (a,), vjp)
 
 
 def min_(a, axis=None, keepdims=False) -> Var:
-    return _extreme(a, axis, keepdims, np.argmin, np.min)
+    return _extreme(a, axis, keepdims, np.argmin)
 
 
 def max_(a, axis=None, keepdims=False) -> Var:
-    return _extreme(a, axis, keepdims, np.argmax, np.max)
+    return _extreme(a, axis, keepdims, np.argmax)
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +559,7 @@ def reshape(a, shape) -> Var:
 
 def transpose(a, axes: Sequence[int]) -> Var:
     a = as_var(a)
-    axes = tuple(ax % a.ndim for ax in axes)
+    axes = _axis_tuple(axes, a.ndim)
     inv = np.argsort(axes)
     return _record(a.data.transpose(axes), (a,), lambda g: (g.transpose(inv),))
 
@@ -608,8 +572,6 @@ def _is_basic_index(idx) -> bool:
 def getitem(a, idx) -> Var:
     a = as_var(a)
     out = a.data[idx]
-    if np.isscalar(out) or out.ndim == 0:
-        out = np.asarray(out)
     basic = _is_basic_index(idx)
     shape, dtype = a.shape, a.dtype
 

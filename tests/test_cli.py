@@ -42,6 +42,16 @@ def test_register_cli_end_to_end(tmp_path, capsys):
     assert "homography" in capsys.readouterr().out
 
 
+def test_register_cli_evaluate_only(tmp_path, capsys):
+    img = synthetic.smooth_texture(32, 32, seed=1)
+    src = tmp_path / "src.pgm"
+    g.save_image(src, img)
+    out = tmp_path / "out"
+    assert main(["register", str(src), str(src), "--levels", "2", "--iters", "0", "--out", str(out)]) == 0
+    assert (out / "trace.csv").read_text().splitlines() == ["iteration,level,loss"]
+    assert "final loss: 0" in capsys.readouterr().out
+
+
 def test_register_cli_missing_file(tmp_path, capsys):
     code = main(["register", str(tmp_path / "nope.pgm"), str(tmp_path / "nope2.pgm")])
     assert code == 5
@@ -71,6 +81,19 @@ def test_depth_cli_end_to_end(tmp_path, capsys):
     assert code == 0
     assert (out / "depth.pgm").exists()
     assert "final loss" in capsys.readouterr().out
+
+
+def test_depth_cli_evaluate_only(tmp_path, capsys):
+    views, _ = synthetic.plane_scene(height=32, width=40, focal=40.0, seed=3)
+    paths = []
+    for i, (img, cam) in enumerate(views):
+        ip, cp = tmp_path / f"v{i}.pgm", tmp_path / f"v{i}.cam"
+        g.save_image(ip, img)
+        save_camera(cp, cam)
+        paths += [str(ip), str(cp)]
+    assert main(["depth", *paths, "--levels", "2", "--iters", "0"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split(":")[1].strip() == lines[1].split(":")[1].strip()  # initial == final loss
 
 
 def test_depth_cli_odd_view_args(tmp_path):

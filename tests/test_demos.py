@@ -72,6 +72,19 @@ def test_register_writes_outputs(tmp_path):
     assert header == "iteration,level,loss"
 
 
+def test_register_zero_iterations_evaluates_the_initial_map_once(tmp_path):
+    h_true = np.eye(3)
+    h_true[0, 2] = 2.0
+    src, dst = synthetic.warped_pair(32, 32, h_true, seed=14)
+    out = tmp_path / "reg0"
+    res = register(src, dst, RunConfig(levels=2, iters=0, out_dir=str(out)))
+    assert res.trace == [] and len(res.warped) == 1
+    assert np.abs(res.homography - np.eye(3)).max() < 1e-12
+    # the identity map at full resolution: the warp is the source itself
+    assert res.final_loss == pytest.approx(np.abs(src.data - dst.data).mean(), rel=1e-9)
+    assert (out / "trace.csv").read_text().splitlines() == ["iteration,level,loss"]
+
+
 # --- depth -------------------------------------------------------------------
 
 
@@ -123,6 +136,19 @@ def test_depth_writes_outputs(tmp_path):
     assert depth_img.max() <= 1.0
 
 
+def test_depth_zero_iterations_evaluates_the_initial_depth_once():
+    views, _ = synthetic.plane_scene(height=32, width=40, focal=40.0, seed=15)
+    res = estimate_depth(views, RunConfig(levels=3, iters=0, lr=15.0, optimizer="sgd_momentum", seed=2))
+    assert res.trace == []
+    assert res.initial_loss == res.final_loss > 0
+    # the seeded initial draw at the coarsest size, with the loss a run logs first
+    init = 1.0 - np.random.default_rng(2).random((1, 1, 8, 10))
+    assert np.array_equal(res.depth.data, np.maximum(init, 1e-3))
+    one = estimate_depth(views, RunConfig(levels=3, iters=1, lr=15.0, optimizer="sgd_momentum", seed=2))
+    assert res.final_loss == one.trace[0][2]
+    assert len(res.warped) == 2
+
+
 # --- attack ------------------------------------------------------------------
 
 
@@ -139,6 +165,12 @@ def test_attack_zero_iterations_identity():
     assert np.array_equal(res.img_a.data, img_a.data)
     assert np.array_equal(res.img_b.data, img_b.data)
     assert res.trace == []
+
+
+def test_attack_rejects_a_negative_keypoint_budget():
+    img_a, img_b, h = _attack_inputs()
+    with pytest.raises(g.ParameterError):
+        attack(img_a, img_b, h, RunConfig(iters=1, levels=3, lr=3e-3, max_keypoints=-1))
 
 
 def test_attack_perturbation_penalty_is_quadratic():

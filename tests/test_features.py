@@ -210,6 +210,15 @@ def test_refine_positions_differentiable():
     gradcheck(f, [r])
 
 
+def test_refine_positions_rejects_positions_off_the_map():
+    r = g.Var(np.random.default_rng(7).random((10, 12)))
+    for ys, xs in (([-3], [4]), ([10], [4]), ([3], [12]), ([3], [-1])):
+        with pytest.raises(g.ParameterError):
+            ft.refine_positions(r, np.array(ys), np.array(xs))
+    with pytest.raises(g.ShapeError):
+        ft.refine_positions(r, np.array([3, 4]), np.array([5]))
+
+
 # --- orientation ------------------------------------------------------------------
 
 
@@ -689,6 +698,16 @@ def test_detect_truncates_to_max():
     assert desc.shape == (20, 128)
     responses = [k.response for k in kps]
     assert responses == sorted(responses, reverse=True)
+
+
+def test_detect_rejects_a_negative_budget():
+    img = synthetic.smooth_texture(96, 96, seed=1)
+    everything = ft.detect(img, max_keypoints=10**6)
+    assert len(ft.detect(img, max_keypoints=len(everything))) == len(everything)
+    assert ft.detect(img, max_keypoints=0) == []
+    for call in (ft.detect, ft.detect_and_describe):
+        with pytest.raises(g.ParameterError):
+            call(img, max_keypoints=-1)
 
 
 def test_detect_scales_by_level():

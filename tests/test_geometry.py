@@ -608,3 +608,61 @@ def test_warps_record_at_most_eleven_tape_nodes():
         out = warp()
         assert len(out._tape) <= 11  # the leaf, the map, the divide-and-sample tail
         g.backward(out.sum())
+
+
+# --- one owner per rule: 3x3 inverse, pixel <-> normalized map, relative pose ----------
+
+
+def test_inverse_transform_3x3_is_mat3_inverse_and_bit_identical_to_numpy():
+    rng = np.random.default_rng(53)
+    for m in rng.normal(size=(200, 3, 3)):
+        inv = geo.inverse_transform(m)
+        assert np.array_equal(inv, np.linalg.inv(m))
+        assert np.array_equal(inv, geo.mat3_inverse(m).data[0])
+    inv[0, 0] = 1.0  # the caller gets a writable array
+
+
+def test_inverse_transform_of_a_singular_3x3_raises_estimation_error():
+    with pytest.raises(g.EstimationError):
+        geo.inverse_transform([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 0.0, 1.0]])
+
+
+def test_register_with_a_singular_final_map_raises_estimation_error(monkeypatch):
+    from gradcv.demos import RunConfig, register, registration, synthetic
+
+    class Collapse:  # an optimizer step that leaves the map singular
+        def __init__(self, params):
+            self.params = params
+
+        def step(self, grads):
+            for p in self.params:
+                p.data = np.zeros_like(p.data)
+
+    monkeypatch.setattr(registration, "make_optimizer", lambda config, params: Collapse(params))
+    img = synthetic.smooth_texture(24, 24, seed=4)
+    with pytest.raises(g.EstimationError):
+        register(img, img, RunConfig(levels=1, iters=1))
+
+
+@pytest.mark.parametrize("size", [(2, 2), (24, 30), (60, 80), (101, 7)])
+def test_normal_to_pixel_inverts_normal_transform_pixel(size):
+    from gradcv.geometry.transforms import _normal_to_pixel
+
+    back = _normal_to_pixel(size) @ geo.normal_transform_pixel(*size)
+    assert np.abs(back - np.eye(3)).max() < 1e-12
+    h = np.eye(3) + np.random.default_rng(54).normal(scale=0.01, size=(3, 3))
+    roundtrip = geo.denormalize_homography(geo.normalize_homography(h, size, size), size, size)
+    assert np.abs(roundtrip - h).max() < 1e-9
+
+
+@pytest.mark.parametrize("i", range(3))
+def test_rotation_matrix_to_quaternion_each_diagonal_branch(i):
+    # a 0.9*pi turn has trace < 0, so the largest diagonal entry i picks the branch
+    axis = np.random.default_rng(55 + i).normal(scale=0.2, size=3)
+    axis[i] += 1.0
+    axis /= np.linalg.norm(axis)
+    r = geo.axis_angle_to_rotation_matrix(0.9 * np.pi * axis)
+    assert np.trace(r) < 0 and int(np.argmax(np.diag(r))) == i
+    q = geo.rotation_matrix_to_quaternion(r)
+    want = np.concatenate([[np.cos(0.45 * np.pi)], np.sin(0.45 * np.pi) * axis])
+    assert np.abs(q - want).max() < 1e-12

@@ -376,6 +376,21 @@ def test_patches_window_too_large():
         g.extract_patches(g.Var(np.ones((1, 1, 4, 4))), (5, 5), (1, 1))
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x: g.extract_patches(x, (-2, 3), (1, 1)),
+        lambda x: g.extract_patches(x, (2, 0), (1, 1)),
+        lambda x: g.upsample_bilinear(x, (-1, 4)),
+        lambda x: g.upsample_bilinear(x, (3, 0)),
+    ],
+    ids=["patches_negative_window", "patches_zero_window", "upsample_negative_size", "upsample_zero_size"],
+)
+def test_non_positive_sizes_raise_parameter_error(call):
+    with pytest.raises(g.ParameterError):
+        call(g.Var(np.ones((1, 1, 4, 4))))
+
+
 def test_patches_reassembly_roundtrip():
     x = np.random.default_rng(9).random((2, 3, 6, 8))
     p = g.extract_patches(g.Var(x), (3, 2), (3, 2)).data

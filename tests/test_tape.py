@@ -286,3 +286,51 @@ def test_tapes_are_freed_without_the_cycle_collector():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# --- weak scalar operands, clamp and where through _binary, reduction axes --------------
+
+
+@pytest.mark.parametrize("scalar", [2.0, 2, np.float64(2.0), np.float32(2.0), np.int64(2)],
+                         ids=["float", "int", "np.float64", "np.float32", "np.int64"])
+def test_float32_stays_float32_at_every_node_with_scalar_operands(scalar, node_dtypes):
+    x = g.Var(np.linspace(0.1, 0.9, 6, dtype=np.float32).reshape(2, 3), requires_grad=True)
+    mask = np.array([[True, False, True]] * 2)
+    outs = [
+        x + scalar, scalar + x, x - scalar, scalar - x, x * scalar, scalar * x, x / scalar, scalar / x,
+        x ** scalar, g.atan2(x, scalar), g.atan2(scalar, x), g.maximum(x, scalar), g.minimum(scalar, x),
+        g.where(mask, x, scalar), g.where(mask, scalar, x), x.clamp(scalar * 0, scalar / 4), g.clamp(x, hi=scalar),
+    ]
+    assert [o.dtype for o in outs] == [np.dtype(np.float32)] * len(outs)
+    grads = g.backward(sum(o.sum() for o in outs))
+    assert grads[x].dtype == np.float32
+    assert node_dtypes and set(node_dtypes) == {np.dtype(np.float32)}  # every node and every vjp output
+
+
+def test_clamp_is_maximum_then_minimum_with_first_operand_ties():
+    x = g.Var([-1.0, 0.0, 0.5, 1.0, 2.0, np.nan], requires_grad=True)
+    y = x.clamp(0.0, 1.0)
+    assert np.array_equal(y.data, np.clip(x.data, 0.0, 1.0), equal_nan=True)
+    # the gradient passes where lo <= x <= hi, boundary hits included
+    assert np.array_equal(g.backward(y.sum())[x].data, [0.0, 1.0, 1.0, 1.0, 0.0, 0.0])
+    assert len(g.clamp(g.Var([0.5], requires_grad=True), hi=1.0)._tape) == 2  # the leaf and one minimum
+
+
+@pytest.mark.parametrize("keepdims", [False, True])
+@pytest.mark.parametrize("axis", [None, 0, 1, -1, (0, 1), (0, 2), (2, 0), (1, 2), (0, 1, 2)], ids=str)
+def test_max_min_match_numpy_and_gradcheck(axis, keepdims):
+    x = np.random.default_rng(300).normal(size=(2, 3, 4))
+    for name in ("max", "min"):
+        out = getattr(g.Var(x), name)(axis=axis, keepdims=keepdims)
+        want = getattr(np, name)(x, axis=axis, keepdims=keepdims)
+        assert out.shape == np.shape(want) and np.array_equal(out.data, want)
+    w = np.random.default_rng(301).normal(size=np.shape(want))
+    gradcheck(lambda v: (v.max(axis=axis, keepdims=keepdims) * w - v.min(axis=axis, keepdims=keepdims)).sum(), [x])
+
+
+def test_max_over_axes_gives_ties_to_the_first_element_in_scan_order():
+    x = g.Var(np.zeros((2, 2, 3)), requires_grad=True)
+    grad = g.backward(x.max(axis=(2, 0)).sum())[x].data
+    want = np.zeros((2, 2, 3))
+    want[0, :, 0] = 1.0
+    assert np.array_equal(grad, want)
