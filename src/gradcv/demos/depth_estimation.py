@@ -6,6 +6,10 @@ warped into the reference frame through the current depth, and the SSIM/L1
 blend plus edge-aware smoothness is minimized.  Depth is parameterized at a
 coarse resolution first and bilinearly upsampled to full size for the loss;
 each level's solution seeds the next, finer level.
+
+A step is batched: the V source views are stacked once per run, beside the
+reference broadcast to (V,C,H,W); one `depth_warp` call warps the stack and
+one `multiview_photo_loss` call scores it, averaging the per-view losses.
 """
 from __future__ import annotations
 
@@ -37,23 +41,19 @@ class DepthResult:
 
 
 def _check_views(views) -> tuple:
+    """The views' images as one (len(views),C,H,W) array, and their cameras."""
     if len(views) < 2:
         raise ParameterError(f"depth estimation needs >= 2 views, got {len(views)}")
-    imgs, cams = [], []
-    shape = None
-    for img, cam in views:
-        v = as_var(img)
-        if v.ndim != 4 or v.shape[0] != 1:
-            raise ShapeError(f"views must be 1xCxHxW, got {v.shape}")
-        if shape is None:
-            shape = v.shape
-        elif v.shape != shape:
-            raise ShapeError(f"view shapes differ: {v.shape} vs {shape}")
-        if not isinstance(cam, PinholeCamera):
-            raise ParameterError("each view needs a PinholeCamera")
-        imgs.append(v.detach())
-        cams.append(cam)
-    return imgs, cams
+    imgs = [as_var(img).data for img, _ in views]
+    for img in imgs:
+        if img.ndim != 4 or img.shape[0] != 1:
+            raise ShapeError(f"views must be 1xCxHxW, got {img.shape}")
+        if img.shape != imgs[0].shape:
+            raise ShapeError(f"view shapes differ: {img.shape} vs {imgs[0].shape}")
+    cams = [cam for _, cam in views]
+    if not all(isinstance(cam, PinholeCamera) for cam in cams):
+        raise ParameterError("each view needs a PinholeCamera")
+    return np.concatenate(imgs), cams
 
 
 def estimate_depth(views, config: RunConfig | None = None, ref_index: int = 0) -> DepthResult:
@@ -66,26 +66,20 @@ def estimate_depth(views, config: RunConfig | None = None, ref_index: int = 0) -
     """
     config = config or RunConfig(levels=7, iters=500, lr=15.0, optimizer="sgd_momentum")
     imgs, cams = _check_views(views)
-    ref_img = imgs[ref_index]
-    ref_cam = cams[ref_index]
-    src = [(imgs[i], cams[i]) for i in range(len(imgs)) if i != ref_index]
-    _, _, h_full, w_full = ref_img.shape
+    ref_img, ref_cam = imgs[ref_index], cams[ref_index]
+    src = [i for i in range(len(cams)) if i != ref_index]
+    src_cams = [cams[i] for i in src]
+    # the source views as one (V,C,H,W) stack, and the reference broadcast to it
+    src_imgs = Var(imgs[src])
+    ref_imgs = Var(np.broadcast_to(ref_img, src_imgs.shape))
+    h_full, w_full = imgs.shape[2:]
 
-    degenerate = all(
-        np.abs(cam.extrinsics - ref_cam.extrinsics).max() < 1e-12 for _, cam in src
-    )
-    if degenerate:
-        warnings.warn(
-            "all views share the reference pose: the photometric loss is "
-            "independent of depth",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    if all(np.abs(cam.extrinsics - ref_cam.extrinsics).max() < 1e-12 for cam in src_cams):
+        warnings.warn("all views share the reference pose: the photometric loss is "
+                      "independent of depth", RuntimeWarning, stacklevel=2)
 
     rng = np.random.default_rng(config.seed)
-    sizes = []
-    for lvl in range(config.levels - 1, -1, -1):
-        sizes.append((max(2, h_full >> lvl), max(2, w_full >> lvl)))
+    sizes = [(max(2, h_full >> lvl), max(2, w_full >> lvl)) for lvl in range(config.levels - 1, -1, -1)]
     if not config.iters:  # evaluate only: the initial depth, once and untracked
         sizes = sizes[:1]
     # init uniform in (0,1] at the coarsest resolution
@@ -97,22 +91,12 @@ def estimate_depth(views, config: RunConfig | None = None, ref_index: int = 0) -
     step = 0
     for level_idx, size in enumerate(sizes):
         if depth_param.shape[2:] != size:
-            depth_param = Var(
-                upsample_bilinear(depth_param.detach(), size).data, requires_grad=True
-            )
+            depth_param = Var(upsample_bilinear(depth_param.detach(), size).data, requires_grad=True)
         opt = make_optimizer(config, [depth_param])
         for _ in range(config.iters or 1):
             d_full = upsample_bilinear(maximum(depth_param, _DEPTH_FLOOR), (h_full, w_full))
-            loss = None
-            warped_views = []
-            for src_img, src_cam in src:
-                warped = depth_warp(src_img, d_full, src_cam, ref_cam)
-                term = multiview_photo_loss(
-                    ref_img, warped, src_img, d_full, alpha=config.alpha, lam=config.lam
-                )
-                loss = term if loss is None else loss + term
-                warped_views.append(warped.detach())
-            loss = loss * (1.0 / len(src))
+            warped = depth_warp(src_imgs, d_full, src_cams, ref_cam)
+            loss = multiview_photo_loss(ref_imgs, warped, src_imgs, d_full, config.alpha, config.lam)
             lv = float(loss.data)
             if not np.isfinite(lv):
                 raise OptimizationError(f"depth optimization diverged (loss={lv})")
@@ -123,17 +107,16 @@ def estimate_depth(views, config: RunConfig | None = None, ref_index: int = 0) -
                 step += 1
                 opt.step(backward(loss))
         if out_dir:
-            for vi, wv in enumerate(warped_views):
+            for vi, wv in enumerate(warped.data):
                 save_image(os.path.join(out_dir, f"warped_l{level_idx}_v{vi}.ppm"), wv)
-            err = np.abs(warped_views[0].data - ref_img.data).mean(axis=1)[0]
+            err = np.abs(warped.data[0] - ref_img).mean(axis=0)
             save_image(os.path.join(out_dir, f"error_l{level_idx}.pgm"), np.clip(err, 0, 1))
 
     result.final_loss = lv
     result.depth = Var(np.maximum(depth_param.data, _DEPTH_FLOOR))
-    result.warped = []
     d_full = upsample_bilinear(result.depth, (h_full, w_full))
-    for src_img, src_cam in src:
-        result.warped.append(depth_warp(src_img, d_full, src_cam, ref_cam))
+    warped = depth_warp(src_imgs, d_full, src_cams, ref_cam)
+    result.warped = [warped[v : v + 1] for v in range(warped.shape[0])]
     if out_dir:
         write_trace_csv(os.path.join(out_dir, "trace.csv"), result.trace)
         dmax = result.depth.data.max()

@@ -198,7 +198,9 @@ def refine_positions(response: Var, ys: np.ndarray, xs: np.ndarray, clamp: bool 
     gradient once the fit wants the peak beyond the neighbor pixel.
     """
     response = as_var(response)
-    r = response.reshape(response.shape[-2:]) if response.ndim == 4 else response
+    if response.ndim not in (2, 4) or response.shape[:-2] not in ((), (1, 1)):
+        raise ShapeError(f"response must be (H,W) or (1,1,H,W), got {response.shape}")
+    r = response.reshape(response.shape[-2:])
     h, w = r.shape
     ys = np.asarray(ys, dtype=np.int64)
     xs = np.asarray(xs, dtype=np.int64)

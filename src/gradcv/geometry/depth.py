@@ -4,9 +4,10 @@ calibrated depth warper.
 The warper is the planar warps' recipe with a depth-dependent map: a
 reference pixel (u, v) with depth d lands on the homogeneous source pixel
 d * (K_src R K_ref^-1 [u, v, 1]) + K_src t, with (R, t) the reference ->
-source pose.  Both terms are constant per pixel, so building the points
-takes one multiply and one add; the perspective divide and the bilinear
-lookup are the shared tail of `geometry.transforms`.  The warp is
+source pose.  Both terms are constant per pixel and view, so one call warps
+a stack of V views: one multiply by (V,3,P) rays, one add of (V,3,1)
+offsets, and one pass of the shared divide-and-sample tail of
+`geometry.transforms`.  The warp is
 differentiable w.r.t. both the reference depth and the source image;
 pixels that land behind (z <= 1e-6) or outside the source view sample zero.
 """
@@ -33,9 +34,8 @@ def depth_to_3d(depth, cam: PinholeCamera) -> Var:
     depth = as_var(depth)
     if depth.ndim != 4 or depth.shape[1] != 1:
         raise ShapeError(f"depth must be (N,1,H,W), got {depth.shape}")
-    n, _, h, w = depth.shape
-    rays = _rays(cam, h, w).reshape(1, 3, h, w)
-    return depth * rays
+    _, _, h, w = depth.shape
+    return depth * _rays(cam, h, w).reshape(1, 3, h, w)
 
 
 def depth_normals(depth, cam: PinholeCamera) -> Var:
@@ -67,17 +67,23 @@ def depth_normals(depth, cam: PinholeCamera) -> Var:
     return where(np.broadcast_to(valid, out.shape), out, 0.0)
 
 
-def depth_warp(src_img, depth_ref, cam_src: PinholeCamera, cam_ref: PinholeCamera) -> Var:
-    """Warp the source view into the reference frame given reference depth."""
+def depth_warp(src_img, depth_ref, cam_src, cam_ref: PinholeCamera) -> Var:
+    """Warp source views into the reference frame given reference depth.
+
+    cam_src is one camera for an (N,C,H,W) src_img, or V cameras for a (V,C,H,W) stack."""
     src_img = as_var(src_img)
     depth_ref = as_var(depth_ref)
     if src_img.ndim != 4:
         raise ShapeError(f"src_img must be NCHW, got {src_img.shape}")
     if depth_ref.ndim != 4 or depth_ref.shape[1] != 1:
         raise ShapeError(f"depth must be (N,1,H,W), got {depth_ref.shape}")
+    cams = [cam_src] if isinstance(cam_src, PinholeCamera) else list(cam_src)
+    if len(cams) > 1 and len(cams) != src_img.shape[0]:
+        raise ShapeError(f"{len(cams)} source cameras for {src_img.shape[0]} source views")
     n, _, h, w = depth_ref.shape
-    t_rel = relative_transform(cam_ref.extrinsics, cam_src.extrinsics)
-    rays = cam_src.k @ t_rel[:3, :3] @ _rays(cam_ref, h, w)  # (3,P) K_src R K_ref^-1 [u,v,1]
-    offset = (cam_src.k @ t_rel[:3, 3])[:, None]  # (3,1) K_src t
-    p = depth_ref.reshape((n, 1, h * w)) * rays + offset  # (N,3,P) homogeneous source pixels
+    t_rel = np.stack([relative_transform(cam_ref.extrinsics, c.extrinsics) for c in cams])
+    k_src = np.stack([c.k for c in cams])
+    rays = k_src @ t_rel[:, :3, :3] @ _rays(cam_ref, h, w)  # (V,3,P) K_src R K_ref^-1 [u,v,1]
+    offset = k_src @ t_rel[:, :3, 3:]  # (V,3,1) K_src t
+    p = depth_ref.reshape((n, 1, h * w)) * rays + offset  # (N|V,3,P) homogeneous source pixels
     return _dehomogenize_and_sample(src_img, p, p.data[:, 2:] > _Z_EPS, (h, w))

@@ -3,7 +3,8 @@ convolution, bilinear sampling, and patch extraction.
 
 All image inputs are 4-D NCHW.  Convolution is correlation (kernels are not
 flipped), matching the usual CV convention.  It runs as one shifted
-multiply-add per kernel tap over views of the padded input, as do both vjps.
+multiply-add per kernel tap over views of the padded input, as do both vjps;
+its input vjp, `_conv_input_vjp`, is also the adjoint blur of `losses.ssim`.
 """
 from __future__ import annotations
 
@@ -70,12 +71,7 @@ def pad2d(x, padding: Sequence[int], mode: str = "zero") -> Var:
     ix = _pad_index(w, pl, pr, mode)
     arr = np.pad(x.data, ((0, 0), (0, 0), (pt, pb), (pl, pr)), mode=_NP_PAD_MODES[mode])
 
-    def vjp(g):
-        g = _fold_axis(g, iy, pt, h, 2)
-        g = _fold_axis(g, ix, pl, w, 3)
-        return (g,)
-
-    return _record(arr, (x,), vjp)
+    return _record(arr, (x,), lambda g: (_fold_axis(_fold_axis(g, iy, pt, h, 2), ix, pl, w, 3),))
 
 
 def _correlate(xp: np.ndarray, k: np.ndarray, h: int, w: int) -> np.ndarray:
@@ -86,6 +82,17 @@ def _correlate(xp: np.ndarray, k: np.ndarray, h: int, w: int) -> np.ndarray:
         i, j = divmod(t, kw)
         out += xp[:, :, i : i + h, j : j + w] * k[:, i, j, None, None]
     return out
+
+
+def _conv_input_vjp(g: np.ndarray, k3: np.ndarray, border: str) -> np.ndarray:
+    """conv2d's input vjp: g correlated with the flipped kernel, folded back through the border."""
+    kh, kw = k3.shape[1:]
+    h, w = g.shape[2:]
+    gp = np.zeros(g.shape[:2] + (h + 2 * kh - 2, w + 2 * kw - 2), dtype=g.dtype)
+    gp[:, :, kh - 1 : kh - 1 + h, kw - 1 : kw - 1 + w] = g
+    gx = _correlate(gp, k3[:, ::-1, ::-1], h + kh - 1, w + kw - 1)
+    gx = _fold_axis(gx, _pad_index(h, kh // 2, kh // 2, border), kh // 2, h, 2)
+    return _fold_axis(gx, _pad_index(w, kw // 2, kw // 2, border), kw // 2, w, 3)
 
 
 def conv2d(x, kernel, border: str = "reflect") -> Var:
@@ -106,23 +113,18 @@ def conv2d(x, kernel, border: str = "reflect") -> Var:
         raise ShapeError(
             f"per-channel kernel has {kernel.shape[0]} channels, input has {x.shape[1]}"
         )
-    xp = pad2d(x, (kh // 2, kh // 2, kw // 2, kw // 2), mode=border)
-    need_x, need_k = xp.requires_grad, kernel.requires_grad
+    xarr = pad2d(x.detach(), (kh // 2, kh // 2, kw // 2, kw // 2), mode=border).data
+    need_x, need_k = x.requires_grad, kernel.requires_grad
     k = kernel.data
     if not need_k and np.issubdtype(x.dtype, np.floating):
         k = k.astype(x.dtype, copy=False)  # a constant kernel keeps float32 float32
-    xarr = xp.data
     _, _, h, w = x.shape
     k3 = k if k.ndim == 3 else k[None]  # a shared kernel broadcasts as (1,kH,kW)
     out = _correlate(xarr, k3, h, w)
 
     def vjp(g):
-        gx = gk = None
-        if need_x:
-            # correlate the zero-padded gradient with the flipped kernel
-            gp = np.zeros(g.shape[:2] + (h + 2 * kh - 2, w + 2 * kw - 2), dtype=g.dtype)
-            gp[:, :, kh - 1 : kh - 1 + h, kw - 1 : kw - 1 + w] = g
-            gx = _correlate(gp, k3[:, ::-1, ::-1], *xarr.shape[2:])
+        gx = _conv_input_vjp(g, k3, border) if need_x else None
+        gk = None
         if need_k:
             gk = np.empty(k.shape, dtype=out.dtype)
             axes = (0, 2, 3) if k.ndim == 3 else None
@@ -130,7 +132,7 @@ def conv2d(x, kernel, border: str = "reflect") -> Var:
                 gk[..., i, j] = np.sum(xarr[:, :, i : i + h, j : j + w] * g, axis=axes)
         return (gx, gk)
 
-    return _record(out, (xp, kernel), vjp)
+    return _record(out, (x, kernel), vjp)
 
 
 def _snap(p: np.ndarray) -> np.ndarray:

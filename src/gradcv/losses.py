@@ -10,9 +10,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ParameterError, ShapeError
-from .filters import gaussian_blur2d, sobel_edges
-from .kernels import _require_4d
-from .tape import Var, abs_, as_var, concat, exp, log, maximum, mean, pow_, sum_, where
+from .filters import gaussian_blur2d, gaussian_kernel1d, sobel_edges
+from .kernels import _conv_input_vjp, _require_4d
+from .tape import Var, _record, abs_, as_var, exp, log, maximum, mean, pow_, sum_, where
 from .tensor import as_array
 
 _EPS = 1e-6
@@ -25,10 +25,16 @@ def _check_same_shape(x: Var, y: Var, who: str) -> None:
 
 
 def ssim(x, y, window: int = 11, max_val: float = 1.0) -> Var:
-    """Per-pixel SSIM map in [-1,1] (Gaussian window, sigma 1.5).
+    """Per-pixel SSIM map in [-1,1] (Gaussian window, sigma 1.5), as one tape node.
 
     Windowed statistics use the reflect border, so the map has full image
-    size.  C1=(0.01*max_val)^2, C2=(0.03*max_val)^2.
+    size.  C1=(0.01*max_val)^2, C2=(0.03*max_val)^2.  The forward blurs x, y,
+    x^2, y^2 and xy in one stacked pass.  With S = A1 A2 / (B1 B2) as in Wang
+    et al. 2004 (Image Quality Assessment: From Error Visibility to Structural
+    Similarity), the vjp is the closed form dS/dmu_y = 2 (mu_x (A2 - A1) -
+    mu_y S (B2 - B1)) / (B1 B2), dS/dE[y^2] = -S / B2, dS/dE[xy] = 2 A1 / (B1 B2),
+    mirrored for x; the maps of the tracked inputs share one adjoint blur G^T,
+    and grad_y = G^T a_y + 2 y G^T b + x G^T c.
     """
     x, y = as_var(x), as_var(y)
     _check_same_shape(x, y, "ssim")
@@ -39,17 +45,33 @@ def ssim(x, y, window: int = 11, max_val: float = 1.0) -> Var:
         raise ParameterError(f"window must be odd and positive, got {window}")
     c1 = (0.01 * max_val) ** 2
     c2 = (0.03 * max_val) ** 2
-    # the five windowed statistics share one blur, stacked along channels
-    c = x.shape[1]
-    stacked = concat([x, y, x * x, y * y, x * y], axis=1)
-    stats = gaussian_blur2d(stacked, (window, window), (1.5, 1.5))
-    mu_x, mu_y, e_xx, e_yy, e_xy = (stats[:, i * c : (i + 1) * c] for i in range(5))
-    var_x = e_xx - mu_x * mu_x
-    var_y = e_yy - mu_y * mu_y
-    cov = e_xy - mu_x * mu_y
-    num = (2.0 * mu_x * mu_y + c1) * (2.0 * cov + c2)
-    den = (mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2)
-    return num / den
+    xa, ya = x.data, y.data
+    stats = np.concatenate([xa, ya, xa * xa, ya * ya, xa * ya], axis=1)
+    stats = gaussian_blur2d(Var._wrap(stats), (window, window), (1.5, 1.5)).data
+    mu_x, mu_y, e_xx, e_yy, e_xy = np.split(stats, 5, axis=1)
+    a1 = 2.0 * mu_x * mu_y + c1
+    a2 = 2.0 * (e_xy - mu_x * mu_y) + c2
+    b1 = mu_x * mu_x + mu_y * mu_y + c1
+    b2 = (e_xx - mu_x * mu_x) + (e_yy - mu_y * mu_y) + c2
+    out = a1 * a2 / (b1 * b2)
+    need_x, need_y = x.requires_grad, y.requires_grad
+    k = gaussian_kernel1d(window, 1.5).data.astype(stats.dtype)[None]  # (1,1,window)
+
+    def vjp(g):
+        gd = g / (b1 * b2)
+        da, db = 2.0 * gd * (a2 - a1), 2.0 * gd * out * (b2 - b1)
+        maps = [-g * out / b2, 2.0 * gd * a1]  # the E[v^2] map (x and y alike), the E[xy] map
+        if need_x:
+            maps.append(mu_y * da - mu_x * db)
+        if need_y:
+            maps.append(mu_x * da - mu_y * db)
+        adj = _conv_input_vjp(np.concatenate(maps, axis=1), k, "reflect")  # G^T: both passes
+        gb, gc, *g_mu = np.split(_conv_input_vjp(adj, k.transpose(0, 2, 1), "reflect"), len(maps), axis=1)
+        gx = g_mu[0] + 2.0 * xa * gb + ya * gc if need_x else None
+        gy = g_mu[-1] + 2.0 * ya * gb + xa * gc if need_y else None
+        return gx, gy
+
+    return _record(out, (x, y), vjp)
 
 
 def ssim_loss(x, y, window: int = 11, max_val: float = 1.0) -> Var:

@@ -219,6 +219,12 @@ def test_refine_positions_rejects_positions_off_the_map():
         ft.refine_positions(r, np.array([3, 4]), np.array([5]))
 
 
+@pytest.mark.parametrize("shape", [(2, 5, 5), (2, 1, 5, 5), (1, 2, 5, 5), (5,), (1, 1, 1, 5, 5)], ids=str)
+def test_refine_positions_rejects_a_response_of_another_shape(shape):
+    with pytest.raises(g.ShapeError, match=r"\(H,W\) or \(1,1,H,W\)"):
+        ft.refine_positions(g.Var(np.ones(shape)), np.array([2]), np.array([2]))
+
+
 # --- orientation ------------------------------------------------------------------
 
 

@@ -522,6 +522,53 @@ def test_homography_warp_float32_in_gives_float32_out_and_gradients(inverse_map,
     assert node_dtypes and set(node_dtypes) == {np.dtype(np.float32)}  # every node and every vjp output
 
 
+def _source_cameras(rng, n, size):
+    cams = []
+    for v in range(n):
+        t = np.eye(4)
+        t[:3, :3] = geo.axis_angle_to_rotation_matrix(rng.normal(scale=0.04, size=3))
+        t[:3, 3] = rng.normal(scale=0.08, size=3)
+        cams.append(geo.make_camera(12.0 + v, 11.0, 5.5, 4.0, t, size=size))
+    return cams
+
+
+@pytest.mark.parametrize("n_depth", [1, 3])
+def test_batched_depth_warp_matches_the_per_view_loop(n_depth):
+    rng = np.random.default_rng(54)
+    cam_ref = geo.make_camera(12.0, 11.0, 5.5, 4.0, size=(9, 12))
+    cams = _source_cameras(rng, 3, (9, 12))
+    imgs = rng.random((3, 2, 9, 12))
+    depth = rng.uniform(1.0, 3.0, (n_depth, 1, 9, 12))
+    cot = rng.normal(size=(3, 2, 9, 12))
+    im, d = g.Var(imgs, requires_grad=True), g.Var(depth, requires_grad=True)
+    out = geo.depth_warp(im, d, cams, cam_ref)
+    grads = g.backward((out * cot).sum())
+    batched = (out.data, grads[im].data, grads[d].data)
+    im, d = g.Var(imgs, requires_grad=True), g.Var(depth, requires_grad=True)
+    outs = [geo.depth_warp(im[v : v + 1], d[v % n_depth : v % n_depth + 1], cams[v], cam_ref)
+            for v in range(3)]
+    loss = sum((o * cot[v : v + 1]).sum() for v, o in enumerate(outs))
+    grads = g.backward(loss)
+    looped = (np.concatenate([o.data for o in outs]), grads[im].data, grads[d].data)
+    for got, want in zip(batched, looped):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_batched_depth_warp_gradcheck():
+    rng = np.random.default_rng(55)
+    cam_ref = geo.make_camera(10.0, 10.0, 3.5, 3.5, size=(8, 8))
+    cams = _source_cameras(rng, 2, (8, 8))
+    img = gaussian_blur2d(g.Var(rng.random((2, 1, 8, 8))), (5, 5), (1.0, 1.0)).data
+    depth = rng.uniform(1.4, 2.6, (1, 1, 8, 8))
+    gradcheck(lambda d, im: (geo.depth_warp(im, d, cams, cam_ref) ** 2.0).mean(), [depth, img], rtol=1e-3)
+
+
+def test_depth_warp_rejects_a_camera_count_unlike_the_views():
+    cam = geo.make_camera(10.0, 10.0, 3.5, 3.5, size=(8, 8))
+    with pytest.raises(g.ShapeError, match="3 source cameras for 2 source views"):
+        geo.depth_warp(np.ones((2, 1, 8, 8)), np.ones((1, 1, 8, 8)), [cam] * 3, cam)
+
+
 # --- depth_warp and mat3_inverse against their former formulas ------------------
 
 

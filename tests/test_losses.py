@@ -71,6 +71,66 @@ def test_ssim_map_bounded():
     assert 0.0 <= val <= 1.0
 
 
+def _tape_ssim(x, y, window=11, max_val=1.0):
+    """The former SSIM, built from tape ops: the fused node's oracle."""
+    from gradcv.filters import gaussian_blur2d
+
+    c1, c2 = (0.01 * max_val) ** 2, (0.03 * max_val) ** 2
+    c = x.shape[1]
+    stacked = g.concat([x, y, x * x, y * y, x * y], axis=1)
+    stats = gaussian_blur2d(stacked, (window, window), (1.5, 1.5))
+    mu_x, mu_y, e_xx, e_yy, e_xy = (stats[:, i * c : (i + 1) * c] for i in range(5))
+    var_x = e_xx - mu_x * mu_x
+    var_y = e_yy - mu_y * mu_y
+    cov = e_xy - mu_x * mu_y
+    num = (2.0 * mu_x * mu_y + c1) * (2.0 * cov + c2)
+    den = (mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2)
+    return num / den
+
+
+def _ssim_pair(seed, shape=(2, 3, 13, 17)):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.0, 1.0, shape)
+    # y partly tracks x, so the map spans low to high similarity
+    return x, np.clip(0.7 * x + 0.3 * rng.uniform(0.0, 1.0, shape), 0.0, 1.0)
+
+
+@pytest.mark.parametrize("tracked", ["y", "both", "x"])
+@pytest.mark.parametrize("window", [5, 11])
+def test_fused_ssim_matches_the_tape_op_oracle(tracked, window):
+    x, y = _ssim_pair(70 + window)
+    cot = np.random.default_rng(71).normal(size=x.shape)
+    results = []
+    for fn in (losses.ssim, _tape_ssim):
+        xv, yv = g.Var(x, requires_grad=tracked != "y"), g.Var(y, requires_grad=tracked != "x")
+        out = fn(xv, yv, window)
+        grads = g.backward((out * cot).sum())
+        results.append([out.data] + [grads[v].data for v in (xv, yv) if v.requires_grad])
+    for got, want in zip(*results):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("tracked", ["y", "both"])
+def test_fused_ssim_gradcheck(tracked):
+    x, y = _ssim_pair(72, (2, 2, 7, 8))
+    w = np.random.default_rng(73).normal(size=x.shape)
+    if tracked == "y":
+        gradcheck(lambda b: (losses.ssim(x, b, window=5) * w).sum(), [y])
+    else:
+        gradcheck(lambda a, b: (losses.ssim(a, b, window=5) * w).sum(), [x, y])
+
+
+@pytest.mark.parametrize("tracked", ["y", "both"])
+def test_fused_ssim_is_one_float32_node(tracked, node_dtypes):
+    x, y = (v.astype(np.float32) for v in _ssim_pair(74))
+    xv, yv = g.Var(x, requires_grad=tracked == "both"), g.Var(y, requires_grad=True)
+    out = losses.ssim(xv, yv)
+    assert len(out._tape) == 1 + (tracked == "both") + 1  # the leaves and one node
+    grads = g.backward((out * 0.5).sum())
+    assert out.dtype == grads[yv].dtype == np.float32
+    assert node_dtypes and set(node_dtypes) == {np.dtype(np.float32)}  # every node and vjp array
+
+
 def test_ssim_shape_mismatch():
     with pytest.raises(g.ShapeError):
         losses.ssim(g.Var(np.ones((1, 1, 4, 4))), g.Var(np.ones((1, 1, 4, 5))))
@@ -340,6 +400,26 @@ def test_multiview_component_oracle():
         g.Var(i_ref), g.Var(i_warp), g.Var(i_src), g.Var(depth), alpha, lam
     ).item()
     assert ours == pytest.approx(expect, abs=1e-9)
+
+
+def test_batched_multiview_photo_loss_matches_the_per_view_mean():
+    # V equal-size views in one stack: the means average the per-view terms
+    rng = np.random.default_rng(13)
+    i_ref = rng.random((1, 3, 10, 12))
+    i_warp = rng.random((3, 3, 10, 12))
+    i_src = rng.random((3, 3, 10, 12))
+    depth = rng.random((1, 1, 10, 12)) + 1.0
+    w, d = g.Var(i_warp, requires_grad=True), g.Var(depth, requires_grad=True)
+    loss = losses.multiview_photo_loss(np.broadcast_to(i_ref, i_warp.shape), w, i_src, d)
+    grads = g.backward(loss)
+    batched = [loss.data, grads[w].data, grads[d].data]
+    w, d = g.Var(i_warp, requires_grad=True), g.Var(depth, requires_grad=True)
+    terms = [losses.multiview_photo_loss(i_ref, w[v : v + 1], i_src[v : v + 1], d) for v in range(3)]
+    loss = (terms[0] + terms[1] + terms[2]) * (1.0 / 3.0)
+    grads = g.backward(loss)
+    looped = [loss.data, grads[w].data, grads[d].data]
+    for got, want in zip(batched, looped):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 # --- differentiability ----------------------------------------------------------------------

@@ -334,3 +334,17 @@ def test_max_over_axes_gives_ties_to_the_first_element_in_scan_order():
     want = np.zeros((2, 2, 3))
     want[0, :, 0] = 1.0
     assert np.array_equal(grad, want)
+
+
+@pytest.mark.parametrize("op", ["sum", "mean", "min", "max"])
+@pytest.mark.parametrize("axis", [2, -3, (0, 2), (-3, 1)], ids=str)
+def test_reductions_reject_an_axis_out_of_range(op, axis):
+    # (2,3) has axes -2..1; an axis outside them raised nothing and reduced another axis
+    x = g.Var(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    with pytest.raises(g.ShapeError, match="out of range"):
+        getattr(x, op)(axis=axis)
+
+
+def test_transpose_rejects_an_axis_out_of_range():
+    with pytest.raises(g.ShapeError, match="out of range"):
+        g.Var(np.zeros((2, 3))).transpose((0, 2))
