@@ -9,7 +9,8 @@ each level's solution seeds the next, finer level.
 
 A step is batched: the V source views are stacked once per run, beside the
 reference broadcast to (V,C,H,W); one `depth_warp` call warps the stack and
-one `multiview_photo_loss` call scores it, averaging the per-view losses.
+one `multiview_photo_loss` call scores it, averaging the per-view photometric
+terms, with one smoothness term weighted by the reference's edges.
 """
 from __future__ import annotations
 
@@ -72,6 +73,7 @@ def estimate_depth(views, config: RunConfig | None = None, ref_index: int = 0) -
     # the source views as one (V,C,H,W) stack, and the reference broadcast to it
     src_imgs = Var(imgs[src])
     ref_imgs = Var(np.broadcast_to(ref_img, src_imgs.shape))
+    ref_edges = Var(ref_img[None])  # the smoothness follows the reference's edges
     h_full, w_full = imgs.shape[2:]
 
     if all(np.abs(cam.extrinsics - ref_cam.extrinsics).max() < 1e-12 for cam in src_cams):
@@ -96,7 +98,7 @@ def estimate_depth(views, config: RunConfig | None = None, ref_index: int = 0) -
         for _ in range(config.iters or 1):
             d_full = upsample_bilinear(maximum(depth_param, _DEPTH_FLOOR), (h_full, w_full))
             warped = depth_warp(src_imgs, d_full, src_cams, ref_cam)
-            loss = multiview_photo_loss(ref_imgs, warped, src_imgs, d_full, config.alpha, config.lam)
+            loss = multiview_photo_loss(ref_imgs, warped, ref_edges, d_full, config.alpha, config.lam)
             lv = float(loss.data)
             if not np.isfinite(lv):
                 raise OptimizationError(f"depth optimization diverged (loss={lv})")

@@ -213,14 +213,15 @@ def smoothness_loss(depth, img) -> Var:
     return mean(ddx * exp(-idx)) + mean(ddy * exp(-idy))
 
 
-def multiview_photo_loss(i_ref, i_warped, i_src, depth, alpha: float = 0.85, lam: float = 0.1) -> Var:
+def multiview_photo_loss(i_ref, i_warped, img, depth, alpha: float = 0.85, lam: float = 0.1) -> Var:
     """Photometric + smoothness objective for depth estimation.
 
     alpha * mean((1-SSIM)/2) + (1-alpha) * mean|I_ref - I_warped|
-    + lam * smoothness(depth, I_src).
+    + lam * smoothness(depth, img), with img the view the depth belongs to,
+    whose edges relax the smoothness (Godard et al. 2017).
     """
     i_ref, i_warped = as_var(i_ref), as_var(i_warped)
     _check_same_shape(i_ref, i_warped, "multiview_photo_loss")
     photo1 = ssim_loss(i_ref, i_warped)
     photo2 = mean(abs_(i_ref - i_warped))
-    return alpha * photo1 + (1.0 - alpha) * photo2 + lam * smoothness_loss(depth, i_src)
+    return alpha * photo1 + (1.0 - alpha) * photo2 + lam * smoothness_loss(depth, img)

@@ -111,10 +111,10 @@ def test_depth_small_smoke_decreases_loss():
     assert res.depth.data.min() > 0
 
 
-@pytest.mark.parametrize("seed", [10, 3, 13])
+@pytest.mark.parametrize("seed", [13, 5, 35])
 def test_depth_benchmark_setup_keeps_its_check(seed):
     # the benchmark's depth set-up on the three seeds of 0-39 whose final/initial
-    # loss ratio is highest (0.782, 0.780, 0.757): a drift in the float64
+    # loss ratio is highest (0.751, 0.735, 0.734): a drift in the float64
     # rounding of the depth path shows here before it fails a benchmark run
     views, _ = synthetic.plane_scene(60, 80, depth=2.0, baselines=(-0.1, 0.1), focal=80.0, seed=seed)
     res = estimate_depth(views, RunConfig(levels=3, iters=30, lr=15.0, optimizer="sgd_momentum"))
