@@ -121,8 +121,6 @@ def estimate_depth(views, config: RunConfig | None = None, ref_index: int = 0) -
     result.warped = [warped[v : v + 1] for v in range(warped.shape[0])]
     if out_dir:
         write_trace_csv(os.path.join(out_dir, "trace.csv"), result.trace)
-        dmax = result.depth.data.max()
-        save_image(
-            os.path.join(out_dir, "depth.pgm"), result.depth.data[0, 0] / dmax, maxval=65535
-        )
+        depth_map = result.depth.data[0, 0]
+        save_image(os.path.join(out_dir, "depth.pgm"), depth_map / depth_map.max(), maxval=65535)
     return result

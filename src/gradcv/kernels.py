@@ -4,7 +4,7 @@ convolution, bilinear sampling, and patch extraction.
 All image inputs are 4-D NCHW.  Convolution is correlation (kernels are not
 flipped), matching the usual CV convention.  It runs as one shifted
 multiply-add per kernel tap over views of the padded input, as do both vjps;
-its input vjp, `_conv_input_vjp`, is also the adjoint blur of `losses.ssim`.
+the input vjp, `_conv_input_vjp`, is also the adjoint blur of `losses.ssim`.
 """
 from __future__ import annotations
 

@@ -43,8 +43,7 @@ def ssim(x, y, window: int = 11, max_val: float = 1.0) -> Var:
         raise ParameterError(f"max_val must be > 0, got {max_val}")
     if window < 1 or window % 2 == 0:
         raise ParameterError(f"window must be odd and positive, got {window}")
-    c1 = (0.01 * max_val) ** 2
-    c2 = (0.03 * max_val) ** 2
+    c1, c2 = (0.01 * max_val) ** 2, (0.03 * max_val) ** 2
     xa, ya = x.data, y.data
     stats = np.concatenate([xa, ya, xa * xa, ya * ya, xa * ya], axis=1)
     stats = gaussian_blur2d(Var._wrap(stats), (window, window), (1.5, 1.5)).data
