@@ -7,9 +7,9 @@ d * (K_src R K_ref^-1 [u, v, 1]) + K_src t, with (R, t) the reference ->
 source pose.  Both terms are constant per pixel and view, so one call warps
 a stack of V views: one multiply by (V,3,P) rays, one add of (V,3,1)
 offsets, and one pass of the shared divide-and-sample tail of
-`geometry.transforms`.  The warp is
-differentiable w.r.t. both the reference depth and the source image;
-pixels that land behind (z <= 1e-6) or outside the source view sample zero.
+`geometry.transforms`.  The warp is differentiable w.r.t. both the
+reference depth and the source images; pixels that land behind
+(z <= 1e-6) or outside the source view sample zero.
 """
 from __future__ import annotations
 

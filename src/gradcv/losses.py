@@ -29,12 +29,13 @@ def ssim(x, y, window: int = 11, max_val: float = 1.0) -> Var:
 
     Windowed statistics use the reflect border, so the map has full image
     size.  C1=(0.01*max_val)^2, C2=(0.03*max_val)^2.  The forward blurs x, y,
-    x^2, y^2 and xy in one stacked pass.  With S = A1 A2 / (B1 B2) as in Wang
-    et al. 2004 (Image Quality Assessment: From Error Visibility to Structural
-    Similarity), the vjp is the closed form dS/dmu_y = 2 (mu_x (A2 - A1) -
-    mu_y S (B2 - B1)) / (B1 B2), dS/dE[y^2] = -S / B2, dS/dE[xy] = 2 A1 / (B1 B2),
-    mirrored for x; the maps of the tracked inputs share one adjoint blur G^T,
-    and grad_y = G^T a_y + 2 y G^T b + x G^T c.
+    x^2, y^2 and xy in one stacked pass G.  With S = A1 A2 / (B1 B2) as in
+    Wang et al. 2004 (Image Quality Assessment: From Error Visibility to
+    Structural Similarity), the vjp takes the closed-form maps
+    a_y = dS/dmu_y = 2 (mu_x (A2 - A1) - mu_y S (B2 - B1)) / (B1 B2),
+    b = dS/dE[y^2] = -S / B2 and c = dS/dE[xy] = 2 A1 / (B1 B2), times the
+    upstream gradient, through one stacked adjoint blur G^T:
+    grad_y = G^T a_y + 2 y G^T b + x G^T c, and grad_x mirrors it if x is tracked.
     """
     x, y = as_var(x), as_var(y)
     _check_same_shape(x, y, "ssim")

@@ -489,8 +489,10 @@ def where(cond, a, b) -> Var:
 
 
 def _axis_tuple(axis, ndim):
-    axes = range(ndim) if axis is None else (axis,) if isinstance(axis, int) else axis
-    if any(not -ndim <= a < ndim for a in axes):
+    if axis is None:
+        return tuple(range(ndim))
+    axes = (axis,) if isinstance(axis, int) else tuple(axis)
+    if not all(-ndim <= a < ndim for a in axes):
         raise ShapeError(f"axis {axis} is out of range for {ndim} dimensions")
     return tuple(a % ndim for a in axes)
 
