@@ -47,9 +47,14 @@ def depth_normals(depth, cam: PinholeCamera) -> Var:
     depth = as_var(depth)
     pts = depth_to_3d(depth, cam)
 
-    # forward differences, zero in the last column and row
-    tx = concat([pts[:, :, :, 1:] - pts[:, :, :, :-1], pts[:, :, :, -1:] * 0.0], axis=3)
-    ty = concat([pts[:, :, 1:] - pts[:, :, :-1], pts[:, :, -1:] * 0.0], axis=2)
+    def fwd_x(t):
+        return concat([t[:, :, :, 1:] - t[:, :, :, :-1], t[:, :, :, -1:] * 0.0], axis=3)
+
+    def fwd_y(t):
+        return concat([t[:, :, 1:] - t[:, :, :-1], t[:, :, -1:] * 0.0], axis=2)
+
+    tx = fwd_x(pts)
+    ty = fwd_y(pts)
     x1, y1, z1 = tx[:, 0:1], tx[:, 1:2], tx[:, 2:3]
     x2, y2, z2 = ty[:, 0:1], ty[:, 1:2], ty[:, 2:3]
     # -(tx x ty): cross points away from the camera for +z-forward frames
