@@ -53,12 +53,13 @@ def ssim(x, y, window: int = 11, max_val: float = 1.0) -> Var:
     a2 = 2.0 * (e_xy - mu_x * mu_y) + c2
     b1 = mu_x * mu_x + mu_y * mu_y + c1
     b2 = (e_xx - mu_x * mu_x) + (e_yy - mu_y * mu_y) + c2
-    out = a1 * a2 / (b1 * b2)
+    den = b1 * b2
+    out = a1 * a2 / den
     need_x, need_y = x.requires_grad, y.requires_grad
     k = gaussian_kernel1d(window, 1.5).data.astype(stats.dtype)[None]  # (1,1,window)
 
     def vjp(g):
-        gd = g / (b1 * b2)
+        gd = g / den
         da, db = 2.0 * gd * (a2 - a1), 2.0 * gd * out * (b2 - b1)
         maps = [-g * out / b2, 2.0 * gd * a1]  # the E[v^2] map (x and y alike), the E[xy] map
         if need_x:
