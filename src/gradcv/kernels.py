@@ -8,6 +8,7 @@ the input vjp, `_conv_input_vjp`, is also the adjoint blur of `losses.ssim`.
 """
 from __future__ import annotations
 
+import functools
 from typing import Sequence, Tuple, Union
 
 import numpy as np
@@ -15,6 +16,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ParameterError, ShapeError
 from .tape import Var, _record, as_var
+from .tensor import _frozen
 
 BORDER_MODES = ("zero", "replicate", "reflect")
 _NP_PAD_MODES = {"zero": "constant", "replicate": "edge", "reflect": "symmetric"}
@@ -29,20 +31,16 @@ def _require_4d(x: Var, who: str) -> None:
         raise ShapeError(f"{who} expects NCHW input, got shape {x.shape}")
 
 
+@functools.lru_cache(maxsize=256)
 def _pad_index(n: int, lo: int, hi: int, mode: str) -> np.ndarray:
-    """Map padded positions to source positions; -1 marks zero-fill."""
-    idx = np.arange(n)
-    if mode == "zero":
-        return np.pad(idx, (lo, hi), mode="constant", constant_values=-1)
-    if mode == "replicate":
-        return np.pad(idx, (lo, hi), mode="edge")
-    if mode == "reflect":
-        # half-sample reflection (edge repeated): every input pixel keeps a
-        # total kernel weight of 1, so mass-1 blurs preserve the image mean
-        if lo > n or hi > n:
-            raise ParameterError(f"reflect padding ({lo},{hi}) too large for extent {n}")
-        return np.pad(idx, (lo, hi), mode="symmetric")
-    raise ParameterError(f"unknown border mode {mode!r}; expected one of {BORDER_MODES}")
+    """Map padded positions to source positions; -1 marks zero-fill.  Cached: read-only."""
+    if mode not in BORDER_MODES:
+        raise ParameterError(f"unknown border mode {mode!r}; expected one of {BORDER_MODES}")
+    # half-sample reflection (edge repeated): every input pixel keeps a
+    # total kernel weight of 1, so mass-1 blurs preserve the image mean
+    if mode == "reflect" and (lo > n or hi > n):
+        raise ParameterError(f"reflect padding ({lo},{hi}) too large for extent {n}")
+    return _frozen(np.pad(np.arange(1, n + 1), (lo, hi), mode=_NP_PAD_MODES[mode]) - 1)  # zero-fill: 0 - 1
 
 
 def _fold_axis(g: np.ndarray, idx: np.ndarray, lo: int, n: int, axis: int) -> np.ndarray:
