@@ -10,8 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ParameterError, ShapeError
-from .filters import gaussian_blur2d, gaussian_kernel1d, sobel_edges
-from .kernels import _conv_input_vjp, _require_4d
+from .filters import _separable_gaussian, gaussian_blur2d, sobel_edges
+from .kernels import _require_4d
 from .tape import Var, _record, abs_, as_var, exp, log, maximum, mean, pow_, sum_, where
 from .tensor import as_array
 
@@ -56,7 +56,6 @@ def ssim(x, y, window: int = 11, max_val: float = 1.0) -> Var:
     den = b1 * b2
     out = a1 * a2 / den
     need_x, need_y = x.requires_grad, y.requires_grad
-    k = gaussian_kernel1d(window, 1.5).data.astype(stats.dtype)[None]  # (1,1,window)
 
     def vjp(g):
         gd = g / den
@@ -66,8 +65,8 @@ def ssim(x, y, window: int = 11, max_val: float = 1.0) -> Var:
             maps.append(mu_y * da - mu_x * db)
         if need_y:
             maps.append(mu_x * da - mu_y * db)
-        adj = _conv_input_vjp(np.concatenate(maps, axis=1), k, "reflect")  # G^T: both passes
-        gb, gc, *g_mu = np.split(_conv_input_vjp(adj, k.transpose(0, 2, 1), "reflect"), len(maps), axis=1)
+        adj = _separable_gaussian(np.concatenate(maps, axis=1), (window,) * 2, (1.5, 1.5), "reflect", adjoint=True)
+        gb, gc, *g_mu = np.split(adj, len(maps), axis=1)
         gx = g_mu[0] + 2.0 * xa * gb + ya * gc if need_x else None
         gy = g_mu[-1] + 2.0 * ya * gb + xa * gc if need_y else None
         return gx, gy

@@ -216,3 +216,70 @@ def test_filter_gradchecks(seed):
     gradcheck(lambda v: filters.laplacian(v).mean(), [x])
     gradcheck(lambda v: (filters.spatial_gradient(v) ** 2.0).mean(), [x])
     gradcheck(lambda v: filters.median_blur(v, (3, 3)).mean(), [x])
+
+
+# --- the matrix path -------------------------------------------------------------
+# An axis up to 32 kernel extents long blurs as a product with a cached operator;
+# a longer one runs conv2d's taps.  The shapes below take each side of the rule.
+
+_MATRIX_CASES = [((12, 15), (5, 3)), ((11, 9), (11, 9)), ((96, 160), (3, 5))]  # (11, 9): kernels as long as the axes
+_TAP_CASES = [((7, 161), (3, 5)), ((97, 13), (3, 13))]
+
+
+def _tap_blur(x, size, sigma, border):
+    """The tap oracle: a column pass then a row pass of conv2d."""
+    ky = filters.gaussian_kernel1d(size[0], sigma[0]).data
+    kx = filters.gaussian_kernel1d(size[1], sigma[1]).data
+    return g.conv2d(g.conv2d(x, ky.T, border=border), kx, border=border)
+
+
+@pytest.mark.parametrize("border", ["zero", "replicate", "reflect"])
+@pytest.mark.parametrize("hw, size", _MATRIX_CASES + _TAP_CASES)
+def test_blur_matches_the_tap_oracle(hw, size, border, monkeypatch):
+    rng = np.random.default_rng(60)
+    x = rng.random((2, 3) + hw)
+    cot = rng.normal(size=x.shape)
+    taps = []  # the blur's conv2d calls; the oracle calls g.conv2d directly
+    monkeypatch.setattr(filters, "conv2d", lambda *a, **k: taps.append(a) or g.conv2d(*a, **k))
+    results = []
+    for blur in (filters.gaussian_blur2d, _tap_blur):
+        xv = g.Var(x, requires_grad=True)
+        out = blur(xv, size, (1.3, 0.9), border)
+        results.append((out.data, g.backward((out * cot).sum())[xv].data))
+    assert bool(taps) == ((hw, size) in _TAP_CASES)
+    for got, want in zip(*results):
+        if taps:
+            assert np.array_equal(got, want)
+        else:
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("width", [20, 400])  # the matrix path, then the tap path
+def test_blur_rejects_reflect_padding_larger_than_the_extent(width):
+    with pytest.raises(g.ParameterError):
+        filters.gaussian_blur2d(g.Var(np.ones((1, 1, 4, width))), (11, 3), (1.5, 1.0))
+
+
+@pytest.mark.parametrize("hw, size", [((6, 9), (5, 3)), ((3, 100), (1, 3))])  # matrix, then taps
+def test_blur_is_one_node_and_gradchecks(hw, size):
+    x = np.random.default_rng(61).random((2, 1) + hw)
+    w = np.random.default_rng(62).normal(size=x.shape)
+    out = filters.gaussian_blur2d(g.Var(x, requires_grad=True), size, (1.2, 0.8), "replicate")
+    assert len(out._tape) == 2  # the leaf and one node
+    gradcheck(lambda v: (filters.gaussian_blur2d(v, size, (1.2, 0.8), "replicate") * w).sum(), [x])
+
+
+@pytest.mark.parametrize("hw", [(9, 10), (9, 100)])  # matrix, then taps
+def test_blur_keeps_float32_at_every_node(hw, node_dtypes):
+    x = g.Var(np.random.default_rng(63).random((2, 3) + hw).astype(np.float32), requires_grad=True)
+    out = filters.gaussian_blur2d(x, (5, 3), (1.5, 1.0))
+    assert out.dtype == g.backward(out.sum())[x].dtype == np.float32
+    assert node_dtypes and set(node_dtypes) == {np.dtype(np.float32)}
+
+
+def test_blur_operator_is_cached_and_read_only():
+    m = filters._blur_matrix(12, 5, 1.5, "reflect", np.dtype(np.float64))
+    assert m is filters._blur_matrix(12, 5, 1.5, "reflect", np.dtype(np.float64))
+    assert np.allclose(m.sum(axis=1), 1.0)  # reflect folds every tap back in: rows keep mass 1
+    with pytest.raises(ValueError):
+        m[0, 0] = 1.0

@@ -98,16 +98,18 @@ def _ssim_pair(seed, shape=(2, 3, 13, 17)):
 @pytest.mark.parametrize("tracked", ["y", "both", "x"])
 @pytest.mark.parametrize("window", [5, 11])
 def test_fused_ssim_matches_the_tape_op_oracle(tracked, window):
-    x, y = _ssim_pair(70 + window)
-    cot = np.random.default_rng(71).normal(size=x.shape)
-    results = []
-    for fn in (losses.ssim, _tape_ssim):
-        xv, yv = g.Var(x, requires_grad=tracked != "y"), g.Var(y, requires_grad=tracked != "x")
-        out = fn(xv, yv, window)
-        grads = g.backward((out * cot).sum())
-        results.append([out.data] + [grads[v].data for v in (xv, yv) if v.requires_grad])
-    for got, want in zip(*results):
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    # the 360 px wide image is over 32 window extents, so its blur and adjoint run conv2d taps
+    for shape in [(2, 3, 13, 17), (1, 1, 8, 360)]:
+        x, y = _ssim_pair(70 + window, shape)
+        cot = np.random.default_rng(71).normal(size=x.shape)
+        results = []
+        for fn in (losses.ssim, _tape_ssim):
+            xv, yv = g.Var(x, requires_grad=tracked != "y"), g.Var(y, requires_grad=tracked != "x")
+            out = fn(xv, yv, window)
+            grads = g.backward((out * cot).sum())
+            results.append([out.data] + [grads[v].data for v in (xv, yv) if v.requires_grad])
+        for got, want in zip(*results):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("tracked", ["y", "both"])
