@@ -441,8 +441,8 @@ def _histogram_pass(n: int, patch_of, thetas=None) -> tuple:
     (histograms, thetas, degenerate), degenerate where a patch is constant.
     """
     orient = thetas is None
-    if orient:
-        thetas = np.empty(n)
+    # a non-finite theta takes the NaN path: a NaN row, without a warning
+    thetas = np.empty(n) if orient else np.where(np.isfinite(thetas), thetas, np.nan)
     hist = np.empty((n, _GRID, _GRID, _ORI_AXIS))
     degenerate = np.empty(n, dtype=bool)
     buf = _VoteBuffers(n)

@@ -780,10 +780,11 @@ def test_level_histograms_nan_theta_gives_nan_row_without_warning():
     img = g.Var(textured_image((80, 80), seed=18, sigma=1.0), requires_grad=True)
     xs, ys = np.array([40.0, 30.5]), np.array([40.0, 44.2])
     ref, _, _ = ft._level_histograms(img, xs, ys, np.array([0.3, 1.2]))
-    hist, _, degenerate = ft._level_histograms(img, xs, ys, np.array([np.nan, 1.2]))
-    desc = ft._normalized(hist, degenerate)
-    assert np.isnan(desc.data[0]).all() and np.array_equal(hist.data[1], ref.data[1])
-    assert np.isnan(g.backward(desc[0].sum())[img].data).any()
+    for bad in (np.nan, np.inf, -np.inf):  # an infinite theta takes the NaN path too
+        hist, _, degenerate = ft._level_histograms(img, xs, ys, np.array([bad, 1.2]))
+        desc = ft._normalized(hist, degenerate)
+        assert np.isnan(desc.data[0]).all() and np.array_equal(hist.data[1], ref.data[1])
+        assert np.isnan(g.backward(desc[0].sum())[img].data).any()
 
 
 def test_extract_patches_at_half_integer_centers_copy_the_window():
