@@ -9,10 +9,16 @@ the tier-1 suite does not collect it; CI runs it as a step of its own.
 """
 from __future__ import annotations
 
+import os
 import sys
 from pathlib import Path
 
-import numpy as np
+# one BLAS thread, set before numpy is imported, as bench/run.py sets it: the
+# depth loss blurs through gemm, so the sweep runs the benchmark's arithmetic
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 from workloads import build_depth  # noqa: E402
