@@ -4,7 +4,7 @@ convolution, bilinear sampling, and patch extraction.
 All image inputs are 4-D NCHW.  Convolution is correlation (kernels are not
 flipped), matching the usual CV convention.  It runs as one shifted
 multiply-add per kernel tap over views of the padded input, as do both vjps;
-the input vjp, `_conv_input_vjp`, is also the adjoint blur of `losses.ssim`.
+the input vjp, `_conv_input_vjp`, is also the Gaussian blur's tap-path adjoint.
 """
 from __future__ import annotations
 
@@ -40,7 +40,7 @@ def _pad_index(n: int, lo: int, hi: int, mode: str) -> np.ndarray:
     # total kernel weight of 1, so mass-1 blurs preserve the image mean
     if mode == "reflect" and (lo > n or hi > n):
         raise ParameterError(f"reflect padding ({lo},{hi}) too large for extent {n}")
-    return _frozen(np.pad(np.arange(1, n + 1), (lo, hi), mode=_NP_PAD_MODES[mode]) - 1)  # zero-fill: 0 - 1
+    return _frozen(np.pad(np.arange(1, n + 1), (lo, hi), mode=_NP_PAD_MODES[mode]) - 1)  # a zero pad maps to -1
 
 
 def _fold_axis(g: np.ndarray, idx: np.ndarray, lo: int, n: int, axis: int) -> np.ndarray:

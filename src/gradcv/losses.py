@@ -27,14 +27,15 @@ def _check_same_shape(x: Var, y: Var, who: str) -> None:
 def ssim(x, y, window: int = 11, max_val: float = 1.0) -> Var:
     """Per-pixel SSIM map in [-1,1] (Gaussian window, sigma 1.5), as one tape node.
 
-    Windowed statistics use the reflect border, so the map has full image
-    size.  C1=(0.01*max_val)^2, C2=(0.03*max_val)^2.  The forward blurs x, y,
-    x^2, y^2 and xy in one stacked pass G.  With S = A1 A2 / (B1 B2) as in
-    Wang et al. 2004 (Image Quality Assessment: From Error Visibility to
-    Structural Similarity), the vjp takes the closed-form maps
+    Windowed statistics use the reflect border, so the map has full image size;
+    C1=(0.01*max_val)^2, C2=(0.03*max_val)^2.  The forward blurs x, y, x^2, y^2
+    and xy in one stacked gaussian_blur2d G = My . Mx^T, whose cached (n, n) axis
+    operators fold the reflect border in (conv2d taps where n > 32 windows).  With
+    S = A1 A2 / (B1 B2) as in Wang et al. 2004 (Image Quality Assessment: From
+    Error Visibility to Structural Similarity), the vjp takes the closed-form maps
     a_y = dS/dmu_y = 2 (mu_x (A2 - A1) - mu_y S (B2 - B1)) / (B1 B2),
     b = dS/dE[y^2] = -S / B2 and c = dS/dE[xy] = 2 A1 / (B1 B2), times the
-    upstream gradient, through one stacked adjoint blur G^T:
+    upstream gradient, through one stacked adjoint blur G^T = My^T . Mx:
     grad_y = G^T a_y + 2 y G^T b + x G^T c, and grad_x mirrors it if x is tracked.
     """
     x, y = as_var(x), as_var(y)
