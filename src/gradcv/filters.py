@@ -45,7 +45,7 @@ def gaussian_kernel1d(size: int, sigma: float) -> Var:
 
 @functools.lru_cache(maxsize=64)
 def _blur_matrix(n: int, size: int, sigma: float, border: str, dtype: np.dtype) -> np.ndarray:
-    """Read-only (n, n) operator of :func:`gaussian_blur2d`'s 1-D pass over an axis of extent n."""
+    """Read-only (n, n) operator of gaussian_blur2d's 1-D pass over extent n, cached on plain int/float/str keys."""
     cols = sliding_window_view(_pad_index(n, size // 2, size // 2, border), size)  # (n, size)
     m = np.zeros((n, n + 1))  # a zero-fill tap (-1) lands in the last column, which is dropped
     np.add.at(m, (np.arange(n)[:, None], cols), gaussian_kernel1d(size, sigma).data)
@@ -56,7 +56,7 @@ def _separable_gaussian(a: np.ndarray, size: tuple, sigma: tuple, border: str, a
     """The blur G of :func:`gaussian_blur2d` on an (N,C,H,W) array, or with adjoint G^T."""
     h, w = a.shape[2:]
     if h <= _MATRIX_EXTENT * size[0] and w <= _MATRIX_EXTENT * size[1]:
-        my, mx = (_blur_matrix(n, k, s, border, a.dtype) for n, k, s in zip((h, w), size, sigma))
+        my, mx = (_blur_matrix(n, int(k), float(s), str(border), a.dtype) for n, k, s in zip((h, w), size, sigma))
         my, mx = (my.T, mx.T) if adjoint else (my, mx)
         return my @ (a.reshape(-1, w) @ mx.T).reshape(a.shape)
     ky, kx = (gaussian_kernel1d(k, s).data.astype(a.dtype) for k, s in zip(size, sigma))

@@ -64,9 +64,9 @@ def pad2d(x, padding: Sequence[int], mode: str = "zero") -> Var:
     if min(pt, pb, pl, pr) < 0:
         raise ParameterError("padding must be non-negative")
     _, _, h, w = x.shape
-    # the index maps validate the mode and the reflect extent, and drive the adjoint
-    iy = _pad_index(h, pt, pb, mode)
-    ix = _pad_index(w, pl, pr, mode)
+    # the index maps validate the mode (as str, a cache key) and the reflect extent, and drive the adjoint
+    iy = _pad_index(h, pt, pb, str(mode))
+    ix = _pad_index(w, pl, pr, str(mode))
     arr = np.pad(x.data, ((0, 0), (0, 0), (pt, pb), (pl, pr)), mode=_NP_PAD_MODES[mode])
 
     return _record(arr, (x,), lambda g: (_fold_axis(_fold_axis(g, iy, pt, h, 2), ix, pl, w, 3),))

@@ -283,3 +283,16 @@ def test_blur_operator_is_cached_and_read_only():
     assert np.allclose(m.sum(axis=1), 1.0)  # reflect folds every tap back in: rows keep mass 1
     with pytest.raises(ValueError):
         m[0, 0] = 1.0
+
+
+def test_blur_takes_numpy_scalars_and_rejects_a_border_that_is_not_a_mode():
+    # the cached operators and index maps key on plain values, so neither a 0-d
+    # array nor an unhashable border reaches the cache as it is
+    x = g.Var(np.random.default_rng(64).random((1, 1, 8, 8)))
+    ref = filters.gaussian_blur2d(x, (3, 3), (1.0, 1.0)).data
+    assert np.array_equal(filters.gaussian_blur2d(x, (np.array(3), 3), (np.array(1.0), 1.0)).data, ref)
+    for bad in ("wrap", ["zero"]):
+        with pytest.raises(g.ParameterError):
+            filters.gaussian_blur2d(x, (3, 3), (1.0, 1.0), border=bad)
+        with pytest.raises(g.ParameterError):
+            g.pad2d(x, (1, 1, 1, 1), mode=bad)
