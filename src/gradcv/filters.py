@@ -7,15 +7,12 @@ selected element, correct almost everywhere).
 """
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ParameterError
-from .kernels import _conv_input_vjp, _pad_index, _require_4d, conv2d, pad2d
+from .kernels import _conv_input_vjp, _require_4d, conv2d, pad2d
 from .tape import Var, _record, as_var, sqrt, stack
-from .tensor import _frozen
 
 SOBEL_X = np.array([[-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0], [-1.0, 0.0, 1.0]])
 DIFF_X = np.array([[-0.5, 0.0, 0.5]])
@@ -23,9 +20,6 @@ LAPLACIAN_3 = np.array([[0.0, 1.0, 0.0], [1.0, -4.0, 1.0], [0.0, 1.0, 0.0]])
 
 # keeps sqrt differentiable on perfectly flat regions
 _EDGE_EPS = 1e-12
-
-# an axis up to this many kernel extents long blurs as a matrix product, a longer one by taps
-_MATRIX_EXTENT = 32
 
 
 def _check_odd(k: int, name: str) -> None:
@@ -43,40 +37,18 @@ def gaussian_kernel1d(size: int, sigma: float) -> Var:
     return Var((k / k.sum())[None, :])
 
 
-@functools.lru_cache(maxsize=64)
-def _blur_matrix(n: int, size: int, sigma: float, border: str, dtype: np.dtype) -> np.ndarray:
-    """Read-only (n, n) operator of gaussian_blur2d's 1-D pass over extent n, cached on plain int/float/str keys."""
-    cols = sliding_window_view(_pad_index(n, size // 2, size // 2, border), size)  # (n, size)
-    m = np.zeros((n, n + 1))  # a zero-fill tap (-1) lands in the last column, which is dropped
-    np.add.at(m, (np.arange(n)[:, None], cols), gaussian_kernel1d(size, sigma).data)
-    return _frozen(m[:, :n].astype(dtype))
-
-
-def _separable_gaussian(a: np.ndarray, size: tuple, sigma: tuple, border: str, adjoint: bool = False) -> np.ndarray:
-    """The blur G of :func:`gaussian_blur2d` on an (N,C,H,W) array, or with adjoint G^T."""
-    h, w = a.shape[2:]
-    if h <= _MATRIX_EXTENT * size[0] and w <= _MATRIX_EXTENT * size[1]:
-        my, mx = (_blur_matrix(n, int(k), float(s), str(border), a.dtype) for n, k, s in zip((h, w), size, sigma))
-        my, mx = (my.T, mx.T) if adjoint else (my, mx)
-        return my @ (a.reshape(-1, w) @ mx.T).reshape(a.shape)
-    ky, kx = (gaussian_kernel1d(k, s).data.astype(a.dtype) for k, s in zip(size, sigma))
-    if adjoint:  # conv2d's input vjp of each pass, in reverse order
-        return _conv_input_vjp(_conv_input_vjp(a, kx[None], border), ky.T[None], border)
-    return conv2d(conv2d(Var._wrap(a), ky.T, border=border), kx, border=border).data
-
-
 def gaussian_blur2d(img, size: tuple, sigma: tuple, border: str = "reflect") -> Var:
-    """Separable Gaussian blur G, as one tape node.
+    """Separable Gaussian blur G, a conv2d column pass then row pass, as one tape node.
 
-    Each 1-D pass is an (n, n) operator with the border folded in: row o holds
-    the taps at the source pixels the border maps them to.  When each extent is
-    at most 32 times its kernel extent, G img = My img Mx^T with cached operators
-    and the vjp is My^T g Mx; otherwise a column then a row pass of conv2d taps.
+    Over n <= min(32 k, 512) pixels a k-tap pass is a cached (n, n) operator with the
+    border folded in, so G img = My img Mx^T and the vjp is My^T g Mx; else taps.
     """
     img = as_var(img)
     _require_4d(img, "gaussian_blur2d")
-    out = _separable_gaussian(img.data, size, sigma, border)
-    return _record(out, (img,), lambda g: (_separable_gaussian(g, size, sigma, border, adjoint=True),))
+    ky = gaussian_kernel1d(size[0], sigma[0]).data.T.astype(img.dtype)  # (size,1): vertical pass
+    kx = gaussian_kernel1d(size[1], sigma[1]).data.astype(img.dtype)
+    out = conv2d(conv2d(img.detach(), ky, border=border), kx, border=border).data
+    return _record(out, (img,), lambda g: (_conv_input_vjp(_conv_input_vjp(g, kx[None], border), ky[None], border),))
 
 
 def box_blur(img, size: tuple, border: str = "reflect") -> Var:

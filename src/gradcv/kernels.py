@@ -2,9 +2,9 @@
 convolution, bilinear sampling, and patch extraction.
 
 All image inputs are 4-D NCHW.  Convolution is correlation (kernels are not
-flipped), matching the usual CV convention.  It runs as one shifted
-multiply-add per kernel tap over views of the padded input, as do both vjps;
-the input vjp, `_conv_input_vjp`, is also the Gaussian blur's tap-path adjoint.
+flipped), matching the usual CV convention.  A constant shared 1-D kernel on a short axis
+is one product with a cached, border-folded (n, n) operator (`_axis_product`); others run
+one multiply-add per tap over padded views.  `_conv_input_vjp` is also the blur's adjoint.
 """
 from __future__ import annotations
 
@@ -25,22 +25,28 @@ _NP_PAD_MODES = {"zero": "constant", "replicate": "edge", "reflect": "symmetric"
 # identity grids and integer-pixel warps reproduce inputs bit-for-bit.
 _SNAP_EPS = 1e-8
 
+_MATRIX_EXTENT, _MATRIX_MAX_N = 32, 512  # _axis_product's n <= min(32 k, 512): n MACs at BLAS speed, <= 2 MB
+
 
 def _require_4d(x: Var, who: str) -> None:
     if x.ndim != 4:
         raise ShapeError(f"{who} expects NCHW input, got shape {x.shape}")
 
 
-@functools.lru_cache(maxsize=256)
 def _pad_index(n: int, lo: int, hi: int, mode: str) -> np.ndarray:
-    """Map padded positions to source positions; -1 marks zero-fill.  Cached: read-only."""
-    if mode not in BORDER_MODES:
-        raise ParameterError(f"unknown border mode {mode!r}; expected one of {BORDER_MODES}")
-    # half-sample reflection (edge repeated): every input pixel keeps a
-    # total kernel weight of 1, so mass-1 blurs preserve the image mean
-    if mode == "reflect" and (lo > n or hi > n):
-        raise ParameterError(f"reflect padding ({lo},{hi}) too large for extent {n}")
-    return _frozen(np.pad(np.arange(1, n + 1), (lo, hi), mode=_NP_PAD_MODES[mode]) - 1)  # a zero pad maps to -1
+    """Map padded positions to source positions; -1 marks zero-fill."""
+    idx = np.arange(n)
+    if mode == "zero":
+        return np.pad(idx, (lo, hi), mode="constant", constant_values=-1)
+    if mode == "replicate":
+        return np.pad(idx, (lo, hi), mode="edge")
+    if mode == "reflect":
+        # half-sample reflection (edge repeated): every input pixel keeps a
+        # total kernel weight of 1, so mass-1 blurs preserve the image mean
+        if lo > n or hi > n:
+            raise ParameterError(f"reflect padding ({lo},{hi}) too large for extent {n}")
+        return np.pad(idx, (lo, hi), mode="symmetric")
+    raise ParameterError(f"unknown border mode {mode!r}; expected one of {BORDER_MODES}")
 
 
 def _fold_axis(g: np.ndarray, idx: np.ndarray, lo: int, n: int, axis: int) -> np.ndarray:
@@ -64,9 +70,9 @@ def pad2d(x, padding: Sequence[int], mode: str = "zero") -> Var:
     if min(pt, pb, pl, pr) < 0:
         raise ParameterError("padding must be non-negative")
     _, _, h, w = x.shape
-    # the index maps validate the mode (as str, a cache key) and the reflect extent, and drive the adjoint
-    iy = _pad_index(h, pt, pb, str(mode))
-    ix = _pad_index(w, pl, pr, str(mode))
+    # the index maps validate the mode and the reflect extent, and drive the adjoint
+    iy = _pad_index(h, pt, pb, mode)
+    ix = _pad_index(w, pl, pr, mode)
     arr = np.pad(x.data, ((0, 0), (0, 0), (pt, pb), (pl, pr)), mode=_NP_PAD_MODES[mode])
 
     return _record(arr, (x,), lambda g: (_fold_axis(_fold_axis(g, iy, pt, h, 2), ix, pl, w, 3),))
@@ -82,8 +88,35 @@ def _correlate(xp: np.ndarray, k: np.ndarray, h: int, w: int) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=64)
+def _axis_operator(n: int, taps: bytes, border: str, dtype: np.dtype) -> np.ndarray:
+    """Read-only (n, n) 1-D correlation: row o holds the taps at the source pixels the border maps them to."""
+    k = np.frombuffer(taps)
+    cols = sliding_window_view(_pad_index(n, k.size // 2, k.size // 2, border), k.size)  # (n, k)
+    m = np.zeros((n, n + 1))  # a zero-fill tap (-1) lands in the last column, which is dropped
+    np.add.at(m, (np.arange(n)[:, None], cols), k)
+    return _frozen(m[:, :n].astype(dtype))
+
+
+def _axis_product(a: np.ndarray, k3: np.ndarray, border: str, adjoint: bool = False):
+    """a (N,C,H,W) correlated with a shared 1-D kernel k3 (or its adjoint) as one product; None: use taps."""
+    col = k3.shape[2] == 1 < k3.shape[1]
+    n = a.shape[2 if col else 3]
+    # the taps also report a bad border, and keep a non-finite pixel local where a product spreads 0 * inf
+    if (k3.shape[0] > 1 or min(k3.shape[1:]) > 1 or n > min(_MATRIX_EXTENT * k3.size, _MATRIX_MAX_N)
+            or border not in BORDER_MODES or not np.isfinite(a).all()):
+        return None
+    m = _axis_operator(n, k3.astype(np.float64).tobytes(), border, a.dtype)
+    if col:  # M a, adjoint M^T g
+        return (m.T if adjoint else m) @ a
+    return (a.reshape(-1, n) @ (m if adjoint else m.T)).reshape(a.shape)
+
+
 def _conv_input_vjp(g: np.ndarray, k3: np.ndarray, border: str) -> np.ndarray:
     """conv2d's input vjp: g correlated with the flipped kernel, folded back through the border."""
+    gx = _axis_product(g, k3, border, adjoint=True)
+    if gx is not None:
+        return gx
     kh, kw = k3.shape[1:]
     h, w = g.shape[2:]
     gp = np.zeros(g.shape[:2] + (h + 2 * kh - 2, w + 2 * kw - 2), dtype=g.dtype)
@@ -111,14 +144,16 @@ def conv2d(x, kernel, border: str = "reflect") -> Var:
         raise ShapeError(
             f"per-channel kernel has {kernel.shape[0]} channels, input has {x.shape[1]}"
         )
-    xarr = pad2d(x.detach(), (kh // 2, kh // 2, kw // 2, kw // 2), mode=border).data
     need_x, need_k = x.requires_grad, kernel.requires_grad
     k = kernel.data
     if not need_k and np.issubdtype(x.dtype, np.floating):
         k = k.astype(x.dtype, copy=False)  # a constant kernel keeps float32 float32
     _, _, h, w = x.shape
     k3 = k if k.ndim == 3 else k[None]  # a shared kernel broadcasts as (1,kH,kW)
-    out = _correlate(xarr, k3, h, w)
+    out = None if need_k else _axis_product(x.data, k3, border)
+    if out is None:
+        xarr = pad2d(x.detach(), (kh // 2, kh // 2, kw // 2, kw // 2), mode=border).data
+        out = _correlate(xarr, k3, h, w)
 
     def vjp(g):
         gx = _conv_input_vjp(g, k3, border) if need_x else None

@@ -10,8 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ParameterError, ShapeError
-from .filters import _separable_gaussian, gaussian_blur2d, sobel_edges
-from .kernels import _require_4d
+from .filters import gaussian_blur2d, gaussian_kernel1d, sobel_edges
+from .kernels import _conv_input_vjp, _require_4d
 from .tape import Var, _record, abs_, as_var, exp, log, maximum, mean, pow_, sum_, where
 from .tensor import as_array
 
@@ -27,12 +27,12 @@ def _check_same_shape(x: Var, y: Var, who: str) -> None:
 def ssim(x, y, window: int = 11, max_val: float = 1.0) -> Var:
     """Per-pixel SSIM map in [-1,1] (Gaussian window, sigma 1.5), as one tape node.
 
-    Windowed statistics use the reflect border, so the map has full image size;
-    C1=(0.01*max_val)^2, C2=(0.03*max_val)^2.  The forward blurs x, y, x^2, y^2
-    and xy in one stacked gaussian_blur2d G = My . Mx^T, whose cached (n, n) axis
-    operators fold the reflect border in (conv2d taps where n > 32 windows).  With
-    S = A1 A2 / (B1 B2) as in Wang et al. 2004 (Image Quality Assessment: From
-    Error Visibility to Structural Similarity), the vjp takes the closed-form maps
+    Windowed statistics use the reflect border, so the map has full image
+    size.  C1=(0.01*max_val)^2, C2=(0.03*max_val)^2.  The forward blurs x, y,
+    x^2, y^2 and xy in one stacked gaussian_blur2d G = My . Mx^T, products with
+    cached border-folded axis operators (taps past 32 windows).  With S = A1 A2 / (B1 B2) as in
+    Wang et al. 2004 (Image Quality Assessment: From Error Visibility to
+    Structural Similarity), the vjp takes the closed-form maps
     a_y = dS/dmu_y = 2 (mu_x (A2 - A1) - mu_y S (B2 - B1)) / (B1 B2),
     b = dS/dE[y^2] = -S / B2 and c = dS/dE[xy] = 2 A1 / (B1 B2), times the
     upstream gradient, through one stacked adjoint blur G^T = My^T . Mx:
@@ -57,6 +57,7 @@ def ssim(x, y, window: int = 11, max_val: float = 1.0) -> Var:
     den = b1 * b2
     out = a1 * a2 / den
     need_x, need_y = x.requires_grad, y.requires_grad
+    k = gaussian_kernel1d(window, 1.5).data.astype(stats.dtype)[None]  # (1,1,window)
 
     def vjp(g):
         gd = g / den
@@ -66,8 +67,8 @@ def ssim(x, y, window: int = 11, max_val: float = 1.0) -> Var:
             maps.append(mu_y * da - mu_x * db)
         if need_y:
             maps.append(mu_x * da - mu_y * db)
-        adj = _separable_gaussian(np.concatenate(maps, axis=1), (window,) * 2, (1.5, 1.5), "reflect", adjoint=True)
-        gb, gc, *g_mu = np.split(adj, len(maps), axis=1)
+        adj = _conv_input_vjp(np.concatenate(maps, axis=1), k, "reflect")  # G^T: both passes
+        gb, gc, *g_mu = np.split(_conv_input_vjp(adj, k.transpose(0, 2, 1), "reflect"), len(maps), axis=1)
         gx = g_mu[0] + 2.0 * xa * gb + ya * gc if need_x else None
         gy = g_mu[-1] + 2.0 * ya * gb + xa * gc if need_y else None
         return gx, gy

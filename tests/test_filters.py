@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 import gradcv as g
-from gradcv import filters
+from gradcv import filters, kernels
 from gradcv.testing import gradcheck
 
 
@@ -219,48 +219,47 @@ def test_filter_gradchecks(seed):
 
 
 # --- the matrix path -------------------------------------------------------------
-# An axis up to 32 kernel extents long blurs as a product with a cached operator;
-# a longer one runs conv2d's taps.  The shapes below take each side of the rule.
+# A 1-D pass over an axis of at most min(32 k, 512) pixels runs as a product with a
+# cached operator; a longer one runs conv2d's taps.  The shapes below take each side
+# of the rule: both passes by products, both by taps, or one of each.
 
-_MATRIX_CASES = [((12, 15), (5, 3)), ((11, 9), (11, 9)), ((96, 160), (3, 5))]  # (11, 9): kernels as long as the axes
-_TAP_CASES = [((7, 161), (3, 5)), ((97, 13), (3, 13))]
+_BLUR_CASES = [
+    ((12, 15), (5, 3)), ((11, 9), (11, 9)), ((96, 160), (3, 5)),  # products; (11, 9): kernels as long as the axes
+    ((97, 161), (3, 5)), ((513, 4), (17, 1)),  # taps; 513 > 512 though under 32 x 17
+    ((7, 161), (3, 5)), ((97, 13), (3, 13)),  # one pass of each
+]
 
 
-def _tap_blur(x, size, sigma, border):
-    """The tap oracle: a column pass then a row pass of conv2d."""
-    ky = filters.gaussian_kernel1d(size[0], sigma[0]).data
-    kx = filters.gaussian_kernel1d(size[1], sigma[1]).data
-    return g.conv2d(g.conv2d(x, ky.T, border=border), kx, border=border)
+def _uses_taps(n, k):
+    return n > min(32 * k, 512)
 
 
 @pytest.mark.parametrize("border", ["zero", "replicate", "reflect"])
-@pytest.mark.parametrize("hw, size", _MATRIX_CASES + _TAP_CASES)
+@pytest.mark.parametrize("hw, size", _BLUR_CASES)
 def test_blur_matches_the_tap_oracle(hw, size, border, monkeypatch):
     rng = np.random.default_rng(60)
     x = rng.random((2, 3) + hw)
     cot = rng.normal(size=x.shape)
-    taps = []  # the blur's conv2d calls; the oracle calls g.conv2d directly
-    monkeypatch.setattr(filters, "conv2d", lambda *a, **k: taps.append(a) or g.conv2d(*a, **k))
     results = []
-    for blur in (filters.gaussian_blur2d, _tap_blur):
+    for extent in (32, 0):  # as shipped, then the oracle: every pass by taps
+        monkeypatch.setattr(kernels, "_MATRIX_EXTENT", extent)
         xv = g.Var(x, requires_grad=True)
-        out = blur(xv, size, (1.3, 0.9), border)
+        out = filters.gaussian_blur2d(xv, size, (1.3, 0.9), border)
         results.append((out.data, g.backward((out * cot).sum())[xv].data))
-    assert bool(taps) == ((hw, size) in _TAP_CASES)
     for got, want in zip(*results):
-        if taps:
+        if all(map(_uses_taps, hw, size)):
             assert np.array_equal(got, want)
         else:
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
-@pytest.mark.parametrize("width", [20, 400])  # the matrix path, then the tap path
-def test_blur_rejects_reflect_padding_larger_than_the_extent(width):
+@pytest.mark.parametrize("n, size", [(4, 11), (600, 1203)])  # a product, then taps
+def test_blur_rejects_reflect_padding_larger_than_the_extent(n, size):
     with pytest.raises(g.ParameterError):
-        filters.gaussian_blur2d(g.Var(np.ones((1, 1, 4, width))), (11, 3), (1.5, 1.0))
+        filters.gaussian_blur2d(g.Var(np.ones((1, 1, n, 3))), (size, 3), (1.5, 1.0))
 
 
-@pytest.mark.parametrize("hw, size", [((6, 9), (5, 3)), ((3, 100), (1, 3))])  # matrix, then taps
+@pytest.mark.parametrize("hw, size", [((6, 9), (5, 3)), ((3, 100), (1, 3))])  # products, then a row of taps
 def test_blur_is_one_node_and_gradchecks(hw, size):
     x = np.random.default_rng(61).random((2, 1) + hw)
     w = np.random.default_rng(62).normal(size=x.shape)
@@ -269,7 +268,7 @@ def test_blur_is_one_node_and_gradchecks(hw, size):
     gradcheck(lambda v: (filters.gaussian_blur2d(v, size, (1.2, 0.8), "replicate") * w).sum(), [x])
 
 
-@pytest.mark.parametrize("hw", [(9, 10), (9, 100)])  # matrix, then taps
+@pytest.mark.parametrize("hw", [(9, 10), (9, 100)])  # products, then a row of taps
 def test_blur_keeps_float32_at_every_node(hw, node_dtypes):
     x = g.Var(np.random.default_rng(63).random((2, 3) + hw).astype(np.float32), requires_grad=True)
     out = filters.gaussian_blur2d(x, (5, 3), (1.5, 1.0))
@@ -277,22 +276,26 @@ def test_blur_keeps_float32_at_every_node(hw, node_dtypes):
     assert node_dtypes and set(node_dtypes) == {np.dtype(np.float32)}
 
 
-def test_blur_operator_is_cached_and_read_only():
-    m = filters._blur_matrix(12, 5, 1.5, "reflect", np.dtype(np.float64))
-    assert m is filters._blur_matrix(12, 5, 1.5, "reflect", np.dtype(np.float64))
+def test_axis_operator_is_cached_and_read_only():
+    taps = filters.gaussian_kernel1d(5, 1.5).data.tobytes()
+    m = kernels._axis_operator(12, taps, "reflect", np.dtype(np.float64))
+    assert m is kernels._axis_operator(12, taps, "reflect", np.dtype(np.float64))
     assert np.allclose(m.sum(axis=1), 1.0)  # reflect folds every tap back in: rows keep mass 1
     with pytest.raises(ValueError):
         m[0, 0] = 1.0
 
 
 def test_blur_takes_numpy_scalars_and_rejects_a_border_that_is_not_a_mode():
-    # the cached operators and index maps key on plain values, so neither a 0-d
-    # array nor an unhashable border reaches the cache as it is
     x = g.Var(np.random.default_rng(64).random((1, 1, 8, 8)))
     ref = filters.gaussian_blur2d(x, (3, 3), (1.0, 1.0)).data
     assert np.array_equal(filters.gaussian_blur2d(x, (np.array(3), 3), (np.array(1.0), 1.0)).data, ref)
     for bad in ("wrap", ["zero"]):
         with pytest.raises(g.ParameterError):
             filters.gaussian_blur2d(x, (3, 3), (1.0, 1.0), border=bad)
-        with pytest.raises(g.ParameterError):
-            g.pad2d(x, (1, 1, 1, 1), mode=bad)
+
+
+def test_a_non_finite_pixel_stays_local_on_the_product_path():
+    x = np.zeros((1, 1, 20, 20))
+    x[0, 0, 10, 10] = np.nan
+    out = filters.gaussian_blur2d(g.Var(x), (5, 5), (1.0, 1.0)).data[0, 0]
+    assert np.array_equal(np.isnan(out), np.pad(np.ones((5, 5), bool), ((8, 7), (8, 7))))

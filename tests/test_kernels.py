@@ -475,14 +475,6 @@ def test_pad_adjoint_dot_product(mode):
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
-@pytest.mark.parametrize("mode", ["zero", "replicate", "reflect"])
-def test_pad_index_map_is_cached_and_read_only(mode):
-    idx = _pad_index(5, 2, 3, mode)
-    assert idx is _pad_index(5, 2, 3, mode)
-    with pytest.raises(ValueError):
-        idx[0] = 4
-
-
 def test_reflect_pad_too_large():
     with pytest.raises(g.ParameterError):
         g.pad2d(g.Var(np.ones((1, 1, 3, 3))), (4, 4, 0, 0), mode="reflect")

@@ -98,7 +98,7 @@ def _ssim_pair(seed, shape=(2, 3, 13, 17)):
 @pytest.mark.parametrize("tracked", ["y", "both", "x"])
 @pytest.mark.parametrize("window", [5, 11])
 def test_fused_ssim_matches_the_tape_op_oracle(tracked, window):
-    # the 360 px wide image is over 32 window extents, so its blur and adjoint run conv2d taps
+    # the 360 px wide image is over 32 window extents, so its row pass and adjoint run conv2d taps
     for shape in [(2, 3, 13, 17), (1, 1, 8, 360)]:
         x, y = _ssim_pair(70 + window, shape)
         cot = np.random.default_rng(71).normal(size=x.shape)
