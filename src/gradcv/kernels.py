@@ -112,9 +112,9 @@ def _axis_product(a: np.ndarray, k3: np.ndarray, border: str, adjoint: bool = Fa
     return (a.reshape(-1, n) @ (m if adjoint else m.T)).reshape(a.shape)
 
 
-def _conv_input_vjp(g: np.ndarray, k3: np.ndarray, border: str) -> np.ndarray:
+def _conv_input_vjp(g: np.ndarray, k3: np.ndarray, border: str, product: bool = True) -> np.ndarray:
     """conv2d's input vjp: g correlated with the flipped kernel, folded back through the border."""
-    gx = _axis_product(g, k3, border, adjoint=True)
+    gx = _axis_product(g, k3, border, adjoint=True) if product else None
     if gx is not None:
         return gx
     kh, kw = k3.shape[1:]
@@ -156,7 +156,7 @@ def conv2d(x, kernel, border: str = "reflect") -> Var:
         out = _correlate(xarr, k3, h, w)
 
     def vjp(g):
-        gx = _conv_input_vjp(g, k3, border) if need_x else None
+        gx = _conv_input_vjp(g, k3, border, product=not need_k) if need_x else None  # the forward's path
         gk = None
         if need_k:
             gk = np.empty(k.shape, dtype=out.dtype)

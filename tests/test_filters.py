@@ -225,7 +225,7 @@ def test_filter_gradchecks(seed):
 
 _BLUR_CASES = [
     ((12, 15), (5, 3)), ((11, 9), (11, 9)), ((96, 160), (3, 5)),  # products; (11, 9): kernels as long as the axes
-    ((97, 161), (3, 5)), ((513, 4), (17, 1)),  # taps; 513 > 512 though under 32 x 17
+    ((97, 161), (3, 5)), ((513, 40), (17, 1)),  # taps; 513 > 512 though under 32 x 17
     ((7, 161), (3, 5)), ((97, 13), (3, 13)),  # one pass of each
 ]
 

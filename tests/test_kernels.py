@@ -6,6 +6,7 @@ import pytest
 
 import gradcv as g
 from gradcv import geometry as geo
+from gradcv import kernels
 from gradcv.filters import gaussian_blur2d, sobel_edges
 from gradcv.kernels import _pad_index
 from gradcv.losses import ssim_loss
@@ -104,6 +105,34 @@ def test_conv2d_kernel_shapes_gradcheck(kshape, border):
     x = rng.normal(size=(2, 3, 5, 6))
     k = rng.normal(size=kshape)
     gradcheck(lambda a, b: (g.conv2d(a, b, border=border) ** 2.0).sum(), [x, k])
+
+
+@pytest.mark.parametrize("border", ["zero", "replicate", "reflect"])
+@pytest.mark.parametrize("kshape", [(1, 5), (5, 1), (1, 1)])
+def test_conv2d_constant_1d_kernel_product_matches_dense_oracle(kshape, border):
+    # a constant 1-D kernel over a short axis runs as a product with the axis operator
+    rng = np.random.default_rng(21)
+    x = rng.normal(size=(2, 1, 6, 8))
+    k = rng.normal(size=kshape)
+    out = g.conv2d(g.Var(x), k, border=border)
+    for i in range(2):
+        assert np.allclose(out.data[i, 0], conv_oracle(x[i, 0], k, border), atol=1e-12)
+    gradcheck(lambda a: (g.conv2d(a, k, border=border) ** 2.0).sum(), [x])
+
+
+def test_conv2d_tracked_1d_kernel_stays_on_the_taps(monkeypatch):
+    # the kernel vjp needs the padded input, so forward and input vjp both run the taps
+    rng = np.random.default_rng(22)
+    x, k = rng.normal(size=(2, 1, 4, 7)), rng.normal(size=(1, 7))
+    cot = rng.normal(size=x.shape)
+    results = []
+    for extent in (32, 0):  # as shipped, then with the product path off
+        monkeypatch.setattr(kernels, "_MATRIX_EXTENT", extent)
+        xv, kv = g.Var(x, requires_grad=True), g.Var(k, requires_grad=True)
+        out = g.conv2d(xv, kv, border="reflect")
+        grads = g.backward((out * cot).sum())
+        results.append((out.data, grads[xv].data, grads[kv].data))
+    assert all(np.array_equal(a, b) for a, b in zip(*results))
 
 
 @pytest.mark.parametrize(
