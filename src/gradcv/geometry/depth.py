@@ -7,16 +7,21 @@ d * (K_src R K_ref^-1 [u, v, 1]) + K_src t, with (R, t) the reference ->
 source pose.  Both terms are constant per pixel and view, so one call warps
 a stack of V views: one multiply by (V,3,P) rays, one add of (V,3,1)
 offsets, and one pass of the shared divide-and-sample tail of
-`geometry.transforms`.  The warp is differentiable w.r.t. both the
+`geometry.transforms`.  The rays and offsets are built once per (cameras,
+size) and kept read-only in a small cache (`_camera_terms`), so a depth
+optimization builds them once per run.  The warp is differentiable w.r.t. both the
 reference depth and the source images; pixels that land behind
 (z <= 1e-6) or outside the source view sample zero.
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from ..errors import ShapeError
 from ..tape import Var, as_var, concat, sqrt, where
+from ..tensor import _frozen
 from .camera import PinholeCamera
 from .linalg import inverse_transform, relative_transform
 from .transforms import _dehomogenize_and_sample, _pixel_grid
@@ -27,6 +32,18 @@ _Z_EPS = 1e-6
 def _rays(cam: PinholeCamera, h: int, w: int) -> np.ndarray:
     """Unit-depth ray directions K^-1 [u, v, 1], (3, H*W), for every pixel center."""
     return inverse_transform(cam.k) @ _pixel_grid(h, w, np.float64)
+
+
+@functools.lru_cache(maxsize=4)
+def _camera_terms(ks: bytes, poses: bytes, h: int, w: int) -> tuple:
+    """Read-only (V,3,P) rays K_src R K_ref^-1 [u,v,1] and (V,3,1) offsets K_src t
+    of the reference camera and V source cameras, given as the bytes of their
+    stacked (1+V,3,3) intrinsics and (1+V,4,4) extrinsics, reference first."""
+    k = np.frombuffer(ks).reshape(-1, 3, 3)
+    t = np.frombuffer(poses).reshape(-1, 4, 4)
+    t_rel = np.stack([relative_transform(t[0], t_src) for t_src in t[1:]])
+    rays = k[1:] @ t_rel[:, :3, :3] @ (inverse_transform(k[0]) @ _pixel_grid(h, w, np.float64))
+    return _frozen(rays), _frozen(k[1:] @ t_rel[:, :3, 3:])
 
 
 def depth_to_3d(depth, cam: PinholeCamera) -> Var:
@@ -81,9 +98,7 @@ def depth_warp(src_img, depth_ref, cam_src, cam_ref: PinholeCamera) -> Var:
     if len(cams) > 1 and len(cams) != src_img.shape[0]:
         raise ShapeError(f"{len(cams)} source cameras for {src_img.shape[0]} source views")
     n, _, h, w = depth_ref.shape
-    t_rel = np.stack([relative_transform(cam_ref.extrinsics, c.extrinsics) for c in cams])
-    k_src = np.stack([c.k for c in cams])
-    rays = k_src @ t_rel[:, :3, :3] @ _rays(cam_ref, h, w)  # (V,3,P) K_src R K_ref^-1 [u,v,1]
-    offset = k_src @ t_rel[:, :3, 3:]  # (V,3,1) K_src t
+    rays, offset = _camera_terms(np.stack([cam_ref.k, *(c.k for c in cams)]).tobytes(),
+                                 np.stack([cam_ref.extrinsics, *(c.extrinsics for c in cams)]).tobytes(), h, w)
     p = depth_ref.reshape((n, 1, h * w)) * rays + offset  # (N|V,3,P) homogeneous source pixels
     return _dehomogenize_and_sample(src_img, p, p.data[:, 2:] > _Z_EPS, (h, w))

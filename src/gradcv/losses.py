@@ -4,6 +4,12 @@ Reductions are means unless stated (total variation is a sum, matching its
 usual definition).  All losses return scalar Vars; every loss is zero on
 identical inputs except PSNR, which is a larger-is-better metric returning a
 +inf sentinel at zero MSE.
+
+Maps that depend only on a constant operand are computed on its first use
+and kept on its Var (`tape._memo`, recomputed if ``data`` is rebound): the
+blurred mean and second moment of a constant SSIM operand, such as the depth
+demo's reference view, and the edge weights exp(-|d I|) of a constant
+smoothness image.  A tracked operand's maps are computed on every call.
 """
 from __future__ import annotations
 
@@ -12,7 +18,7 @@ import numpy as np
 from .errors import ParameterError, ShapeError
 from .filters import gaussian_blur2d, gaussian_kernel1d, sobel_edges
 from .kernels import _conv_input_vjp, _require_4d
-from .tape import Var, _record, abs_, as_var, exp, log, maximum, mean, pow_, sum_, where
+from .tape import Var, _memo, _record, abs_, as_var, exp, log, maximum, mean, pow_, sum_, where
 from .tensor import as_array
 
 _EPS = 1e-6
@@ -24,13 +30,25 @@ def _check_same_shape(x: Var, y: Var, who: str) -> None:
         raise ShapeError(f"{who}: shape mismatch {x.shape} vs {y.shape}")
 
 
+def _blurred(maps: list, window: int) -> list:
+    """SSIM's windowed means (Gaussian, sigma 1.5) of equal-shape maps, blurred as one stack."""
+    stats = gaussian_blur2d(Var._wrap(np.concatenate(maps, axis=1)), (window, window), (1.5, 1.5)).data
+    return np.split(stats, len(maps), axis=1)
+
+
+def _kept_moments(v: Var, a: np.ndarray, window: int) -> tuple:
+    """(mu, E[v^2]) of a constant operand v with data a, blurred on first use and kept on v."""
+    return _memo(v, ("ssim", window, a.dtype), lambda: tuple(_blurred([a, a * a], window)))
+
+
 def ssim(x, y, window: int = 11, max_val: float = 1.0) -> Var:
     """Per-pixel SSIM map in [-1,1] (Gaussian window, sigma 1.5), as one tape node.
 
     Windowed statistics use the reflect border, so the map has full image
-    size.  C1=(0.01*max_val)^2, C2=(0.03*max_val)^2.  The forward blurs x, y,
-    x^2, y^2 and xy in one stacked gaussian_blur2d G = My . Mx^T, products with
-    cached border-folded axis operators (taps past 32 windows).  With S = A1 A2 / (B1 B2) as in
+    size.  C1=(0.01*max_val)^2, C2=(0.03*max_val)^2.  The forward blurs xy and
+    each tracked operand's v and v^2 in one stacked gaussian_blur2d G = My . Mx^T,
+    products with cached border-folded axis operators (taps past 32 windows); a
+    constant operand's mu and E[v^2] are blurred once and kept on its Var.  With S = A1 A2 / (B1 B2) as in
     Wang et al. 2004 (Image Quality Assessment: From Error Visibility to
     Structural Similarity), the vjp takes the closed-form maps
     a_y = dS/dmu_y = 2 (mu_x (A2 - A1) - mu_y S (B2 - B1)) / (B1 B2),
@@ -46,10 +64,13 @@ def ssim(x, y, window: int = 11, max_val: float = 1.0) -> Var:
     if window < 1 or window % 2 == 0:
         raise ParameterError(f"window must be odd and positive, got {window}")
     c1, c2 = (0.01 * max_val) ** 2, (0.03 * max_val) ** 2
-    xa, ya = x.data, y.data
-    stats = np.concatenate([xa, ya, xa * xa, ya * ya, xa * ya], axis=1)
-    stats = gaussian_blur2d(Var._wrap(stats), (window, window), (1.5, 1.5)).data
-    mu_x, mu_y, e_xx, e_yy, e_xy = np.split(stats, 5, axis=1)
+    dt = np.result_type(x.dtype, y.dtype)
+    xa, ya = x.data.astype(dt, copy=False), y.data.astype(dt, copy=False)
+    tracked = [a for v, a in ((x, xa), (y, ya)) if v.requires_grad]
+    fresh = _blurred([m for a in tracked for m in (a, a * a)] + [xa * ya], window)
+    e_xy = fresh.pop()
+    mu_x, e_xx = fresh[:2] if x.requires_grad else _kept_moments(x, xa, window)
+    mu_y, e_yy = fresh[-2:] if y.requires_grad else _kept_moments(y, ya, window)
     a1 = 2.0 * mu_x * mu_y + c1
     a2 = 2.0 * (e_xy - mu_x * mu_y) + c2
     b1 = mu_x * mu_x + mu_y * mu_y + c1
@@ -57,7 +78,7 @@ def ssim(x, y, window: int = 11, max_val: float = 1.0) -> Var:
     den = b1 * b2
     out = a1 * a2 / den
     need_x, need_y = x.requires_grad, y.requires_grad
-    k = gaussian_kernel1d(window, 1.5).data.astype(stats.dtype)[None]  # (1,1,window)
+    k = gaussian_kernel1d(window, 1.5).data.astype(dt)[None]  # (1,1,window)
 
     def vjp(g):
         gd = g / den
@@ -210,9 +231,14 @@ def smoothness_loss(depth, img) -> Var:
     _require_4d(img, "smoothness_loss")
     ddx = abs_(depth[:, :, :, 1:] - depth[:, :, :, :-1])
     ddy = abs_(depth[:, :, 1:, :] - depth[:, :, :-1, :])
-    idx = sum_(abs_(img[:, :, :, 1:] - img[:, :, :, :-1]), axis=1, keepdims=True)
-    idy = sum_(abs_(img[:, :, 1:, :] - img[:, :, :-1, :]), axis=1, keepdims=True)
-    return mean(ddx * exp(-idx)) + mean(ddy * exp(-idy))
+
+    def weights():  # exp(-|d img|_1) per axis, kept on a constant img
+        idx = sum_(abs_(img[:, :, :, 1:] - img[:, :, :, :-1]), axis=1, keepdims=True)
+        idy = sum_(abs_(img[:, :, 1:, :] - img[:, :, :-1, :]), axis=1, keepdims=True)
+        return exp(-idx), exp(-idy)
+
+    wx, wy = _memo(img, "smoothness", weights)
+    return mean(ddx * wx) + mean(ddy * wy)
 
 
 def multiview_photo_loss(i_ref, i_warped, img, depth, alpha: float = 0.85, lam: float = 0.1) -> Var:

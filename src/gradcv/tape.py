@@ -71,10 +71,11 @@ class Var:
     float32/float64 array with every extent >= 1 and marks it read-only;
     ``Var(v)`` of another Var shares ``v.data``.  Arithmetic operators and
     the named methods build the graph; :func:`backward` on a scalar Var
-    returns ``{leaf: gradient}``.
+    returns ``{leaf: gradient}``.  A constant Var keeps the maps that ops
+    derive from its data (:func:`_memo`) until ``data`` is rebound.
     """
 
-    __slots__ = ("data", "requires_grad", "_tape", "_node_id")
+    __slots__ = ("data", "requires_grad", "_tape", "_node_id", "_derived")
 
     # keep numpy from hijacking mixed ndarray/Var arithmetic: returning
     # NotImplemented routes it back through our reflected operators
@@ -88,6 +89,7 @@ class Var:
         self.requires_grad = bool(requires_grad)
         self._tape: Optional[Tape] = None
         self._node_id: int = -1
+        self._derived: Optional[tuple] = None  # (the data it was built from, {key: value})
 
     @classmethod
     def _wrap(cls, arr: np.ndarray, tape: Optional[Tape] = None, node_id: int = -1) -> "Var":
@@ -98,6 +100,7 @@ class Var:
         v.requires_grad = tape is not None
         v._tape = tape
         v._node_id = node_id
+        v._derived = None
         return v
 
     # -- value access -------------------------------------------------
@@ -224,6 +227,20 @@ def as_var(x: ArrayLike) -> Var:
 
 
 _ambient = threading.local()
+
+
+def _memo(v: Var, key, build: Callable[[], Any]):
+    """build(), computed once per key for a constant v and kept on it while
+    v.data is the array it was built from; a Var that requires a gradient
+    gets a fresh build() on every call."""
+    if v.requires_grad:
+        return build()
+    if v._derived is None or v._derived[0] is not v.data:
+        v._derived = (v.data, {})
+    found = v._derived[1]
+    if key not in found:
+        found[key] = build()
+    return found[key]
 
 
 def _current_tape() -> Tape:

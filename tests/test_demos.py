@@ -1,4 +1,5 @@
 """Demo entry points at small scale (full-scale runs live in acceptance)."""
+import collections
 import importlib
 import os
 
@@ -121,6 +122,38 @@ def test_depth_benchmark_setup_keeps_its_check(seed):
     assert np.isfinite([t[2] for t in res.trace]).all()
     assert res.depth.data.min() > 0
     assert res.final_loss <= 0.8 * res.initial_loss
+
+
+def test_depth_step_records_42_nodes_and_calls_each_loss_once(monkeypatch):
+    # the benchmark's set-up: constants kept across steps must not bypass the traced losses
+    demo = importlib.import_module("gradcv.demos.depth_estimation")
+    losses, depth_geo = importlib.import_module("gradcv.losses"), importlib.import_module("gradcv.geometry.depth")
+    calls, nodes = collections.Counter(), []
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    def backward(loss, _backward=demo.backward):
+        nodes.append(len(loss._tape))
+        return _backward(loss)
+
+    count(losses, "ssim")
+    count(losses, "smoothness_loss")
+    count(demo, "multiview_photo_loss")
+    monkeypatch.setattr(demo, "backward", backward)
+    depth_geo._camera_terms.cache_clear()
+    views, _ = synthetic.plane_scene(60, 80, depth=2.0, baselines=(-0.1, 0.1), focal=80.0, seed=0)
+    estimate_depth(views, RunConfig(levels=3, iters=4, lr=15.0, optimizer="sgd_momentum"))
+    assert nodes == [42] * 12
+    assert calls == {"ssim": 12, "smoothness_loss": 12, "multiview_photo_loss": 12}
+    info = depth_geo._camera_terms.cache_info()
+    assert (info.misses, info.hits) == (1, 12)  # built once: 12 steps and the final warp read it
 
 
 def test_depth_writes_outputs(tmp_path):

@@ -133,6 +133,73 @@ def test_fused_ssim_is_one_float32_node(tracked, node_dtypes):
     assert node_dtypes and set(node_dtypes) == {np.dtype(np.float32)}  # every node and vjp array
 
 
+def _counted_blurs(monkeypatch) -> list:
+    """The channel count of every stacked blur SSIM runs from now on."""
+    seen, blur = [], losses.gaussian_blur2d
+
+    def counted(x, *args, **kwargs):
+        seen.append(x.shape[1])
+        return blur(x, *args, **kwargs)
+
+    monkeypatch.setattr(losses, "gaussian_blur2d", counted)
+    return seen
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_kept_ssim_moments_equal_a_fresh_computation(dtype, monkeypatch):
+    # a constant x is blurred once; later calls blur [y, y^2, xy] only
+    x, y = (v.astype(dtype) for v in _ssim_pair(75))
+    xv, cot = g.Var(x), np.random.default_rng(76).normal(size=x.shape)
+    blurs = _counted_blurs(monkeypatch)
+    results = []
+    for ref in (xv, xv, g.Var(x)):  # the first call keeps x's moments, the second reads them
+        yv = g.Var(y, requires_grad=True)
+        out = losses.ssim(ref, yv)
+        results.append((out.data, g.backward((out * cot).sum())[yv].data))
+    # every call blurs [y, y^2, xy]; the first call on each Var also blurs [x, x^2]
+    assert blurs == [3 * 3, 2 * 3, 3 * 3, 3 * 3, 2 * 3]
+    assert all(np.array_equal(a, b) for a, b in zip(results[1], results[2]))
+    assert all(np.array_equal(a, b) for a, b in zip(results[0], results[1]))
+
+
+def test_a_tracked_operand_is_never_memoized(monkeypatch):
+    x, y = _ssim_pair(77)
+    xv, yv = g.Var(x, requires_grad=True), g.Var(y, requires_grad=True)
+    blurs = _counted_blurs(monkeypatch)
+    for _ in range(2):
+        losses.ssim(xv, yv)
+        losses.smoothness_loss(g.Var(x[:, :1]), yv)
+    assert blurs == [5 * 3, 5 * 3]
+    assert xv._derived is None and yv._derived is None
+
+
+def test_rebinding_data_recomputes_the_kept_maps():
+    x, y = _ssim_pair(78)
+    x2 = np.clip(x + 0.1, 0.0, 1.0)
+    xv, dv = g.Var(x), g.Var(y[:, :1])
+    losses.ssim(xv, y), losses.smoothness_loss(dv, xv)
+    xv.data = g.Var(x2).data
+    for got, want in ((losses.ssim(xv, y), losses.ssim(g.Var(x2), y)),
+                      (losses.smoothness_loss(dv, xv), losses.smoothness_loss(dv, g.Var(x2)))):
+        assert np.array_equal(got.data, want.data)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_kept_smoothness_weights_equal_a_fresh_computation(dtype):
+    rng = np.random.default_rng(79)
+    img, depth = rng.random((1, 3, 9, 11)).astype(dtype), rng.random((1, 1, 9, 11)).astype(dtype)
+    iv = g.Var(img)
+    results = []
+    for ref in (iv, iv, g.Var(img)):
+        dv = g.Var(depth, requires_grad=True)
+        out = losses.smoothness_loss(dv, ref)
+        results.append((out.data, g.backward(out)[dv].data))
+    wx, wy = iv._derived[1]["smoothness"]
+    assert np.array_equal(wx.data, np.exp(-np.abs(np.diff(img, axis=3)).sum(axis=1, keepdims=True)))
+    assert np.array_equal(wy.data, np.exp(-np.abs(np.diff(img, axis=2)).sum(axis=1, keepdims=True)))
+    assert all(np.array_equal(a, b) for r in results[1:] for a, b in zip(results[0], r))
+
+
 def test_ssim_shape_mismatch():
     with pytest.raises(g.ShapeError):
         losses.ssim(g.Var(np.ones((1, 1, 4, 4))), g.Var(np.ones((1, 1, 4, 5))))
