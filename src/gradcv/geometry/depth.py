@@ -98,7 +98,8 @@ def depth_warp(src_img, depth_ref, cam_src, cam_ref: PinholeCamera) -> Var:
     if len(cams) > 1 and len(cams) != src_img.shape[0]:
         raise ShapeError(f"{len(cams)} source cameras for {src_img.shape[0]} source views")
     n, _, h, w = depth_ref.shape
-    rays, offset = _camera_terms(np.stack([cam_ref.k, *(c.k for c in cams)]).tobytes(),
-                                 np.stack([cam_ref.extrinsics, *(c.extrinsics for c in cams)]).tobytes(), h, w)
+    ks = np.stack([cam_ref.k, *(c.k for c in cams)])
+    poses = np.stack([cam_ref.extrinsics, *(c.extrinsics for c in cams)])
+    rays, offset = _camera_terms(ks.tobytes(), poses.tobytes(), h, w)
     p = depth_ref.reshape((n, 1, h * w)) * rays + offset  # (N|V,3,P) homogeneous source pixels
     return _dehomogenize_and_sample(src_img, p, p.data[:, 2:] > _Z_EPS, (h, w))

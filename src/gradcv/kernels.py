@@ -89,27 +89,48 @@ def _correlate(xp: np.ndarray, k: np.ndarray, h: int, w: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def _axis_operator(n: int, taps: bytes, border: str, dtype: np.dtype) -> np.ndarray:
-    """Read-only (n, n) 1-D correlation: row o holds the taps at the source pixels the border maps them to."""
-    k = np.frombuffer(taps)
-    cols = sliding_window_view(_pad_index(n, k.size // 2, k.size // 2, border), k.size)  # (n, k)
-    m = np.zeros((n, n + 1))  # a zero-fill tap (-1) lands in the last column, which is dropped
-    np.add.at(m, (np.arange(n)[:, None], cols), k)
+def _axis_operator(n: int, spec, mode: str, dtype: np.dtype) -> np.ndarray:
+    """Read-only operator on an axis of n pixels.  For a border mode, the (n, n)
+    correlation with the float64 taps in spec (bytes): row o holds them at the
+    source pixels the border maps them to.  For "bilinear", the (spec, n)
+    corner-aligned interpolation onto spec pixels, its coordinates snapped as
+    sample_bilinear snaps them."""
+    if mode == "bilinear":
+        c = _snap(_aligned(spec, n, dtype).astype(np.float64))
+        i0 = np.floor(c)
+        f = c - i0
+        cols, vals = np.stack([i0, i0 + 1], axis=1).astype(np.int64), np.stack([1.0 - f, f], axis=1)
+    else:
+        vals = np.frombuffer(spec)
+        cols = sliding_window_view(_pad_index(n, vals.size // 2, vals.size // 2, mode), vals.size)
+    m = np.zeros((len(cols), n + 1))  # a zero-fill tap (-1) or one past the last pixel lands in column n, dropped
+    np.add.at(m, (np.arange(len(cols))[:, None], cols), vals)
     return _frozen(m[:, :n].astype(dtype))
+
+
+def _product(a: np.ndarray, my, mx, adjoint: bool = False):
+    """my . a . mx^T over a's two trailing axes (an operator of None leaves its axis
+    as is), or the adjoint my^T . a . mx; None when a holds a NaN or inf, which a
+    product would spread over whole rows as 0 * inf."""
+    if not np.isfinite(a).all():
+        return None
+    if mx is not None:
+        a = (a.reshape(-1, a.shape[3]) @ (mx if adjoint else mx.T)).reshape(a.shape[:3] + (-1,))
+    if my is not None:
+        a = (my.T if adjoint else my) @ a
+    return a
 
 
 def _axis_product(a: np.ndarray, k3: np.ndarray, border: str, adjoint: bool = False):
     """a (N,C,H,W) correlated with a shared 1-D kernel k3 (or its adjoint) as one product; None: use taps."""
     col = k3.shape[2] == 1 < k3.shape[1]
     n = a.shape[2 if col else 3]
-    # the taps also report a bad border, and keep a non-finite pixel local where a product spreads 0 * inf
+    # the taps also report a bad border, and keep a non-finite pixel local
     if (k3.shape[0] > 1 or min(k3.shape[1:]) > 1 or n > min(_MATRIX_EXTENT * k3.size, _MATRIX_MAX_N)
-            or border not in BORDER_MODES or not np.isfinite(a).all()):
+            or border not in BORDER_MODES):
         return None
     m = _axis_operator(n, k3.astype(np.float64).tobytes(), border, a.dtype)
-    if col:  # M a, adjoint M^T g
-        return (m.T if adjoint else m) @ a
-    return (a.reshape(-1, n) @ (m if adjoint else m.T)).reshape(a.shape)
+    return _product(a, m, None, adjoint) if col else _product(a, None, m, adjoint)
 
 
 def _conv_input_vjp(g: np.ndarray, k3: np.ndarray, border: str, product: bool = True) -> np.ndarray:
@@ -274,21 +295,40 @@ def identity_grid(n: int, h: int, w: int, dtype=np.float64) -> np.ndarray:
     return np.broadcast_to(grid, (n, h, w, 2)).copy()
 
 
+def _aligned(n_out: int, n: int, dtype) -> np.ndarray:
+    """Corner-aligned source coordinates of n_out pixels on an axis of n; one output pixel samples pixel 0."""
+    return np.arange(n_out, dtype=dtype) * ((n - 1) / max(n_out - 1, 1))
+
+
 def upsample_bilinear(x, size: Tuple[int, int]) -> Var:
-    """Resize to (Ho,Wo) with bilinear interpolation, corners aligned."""
+    """Resize to (Ho,Wo) with bilinear interpolation, corners aligned.
+
+    One product Uy . x . Ux^T with the cached (Ho,H) and (Wo,W) interpolation
+    operators, and Uy^T . g . Ux as its vjp; an input holding a NaN or inf is
+    sampled by `sample_bilinear` instead, so the NaN stays local.
+    """
     x = as_var(x)
     _require_4d(x, "upsample_bilinear")
     n, _, h, w = x.shape
     ho, wo = (int(v) for v in size)
     if ho < 1 or wo < 1:
         raise ParameterError(f"output size must be >= 1, got ({ho},{wo})")
-    # corner-aligned source coordinates; a 1-pixel output samples pixel 0
-    jx = np.arange(wo, dtype=x.dtype) * ((w - 1) / max(wo - 1, 1))
-    jy = np.arange(ho, dtype=x.dtype) * ((h - 1) / max(ho - 1, 1))
-    # fresh grids, wrapped without the copy a Var of a plain array makes
-    px = Var._wrap(np.broadcast_to(jx[None, None, :], (n, ho, wo)).copy())
-    py = Var._wrap(np.broadcast_to(jy[None, :, None], (n, ho, wo)).copy())
-    return sample_bilinear(x, px, py)
+    my, mx = _axis_operator(h, ho, "bilinear", x.dtype), _axis_operator(w, wo, "bilinear", x.dtype)
+    out = _product(x.data, my, mx)
+    if out is None:  # the gather, on fresh grids wrapped without the copy a Var of a plain array makes
+        px = Var._wrap(np.broadcast_to(_aligned(wo, w, x.dtype)[None, None, :], (n, ho, wo)).copy())
+        py = Var._wrap(np.broadcast_to(_aligned(ho, h, x.dtype)[None, :, None], (n, ho, wo)).copy())
+        return sample_bilinear(x, px, py)
+
+    def vjp(g):
+        gx = _product(g, my, mx, adjoint=True)
+        if gx is None:  # a NaN or inf reaches only the pixels it interpolates from
+            bad = ~np.isfinite(g)
+            gx = _product(np.where(bad, 0.0, g), my, mx, adjoint=True)
+            gx[_product(bad.astype(g.dtype), my, mx, adjoint=True) > 0] = np.nan
+        return (gx,)
+
+    return _record(out, (x,), vjp)
 
 
 def extract_patches(x, window: Tuple[int, int], stride: Tuple[int, int]) -> Var:

@@ -264,6 +264,78 @@ def test_upsample_bilinear_linear_ramp_exact():
     assert np.allclose(out.data[0, 0, 2], expect, atol=1e-12)
 
 
+def _gathered_upsample(x, size):
+    """The former upsample_bilinear: sample_bilinear at the corner-aligned coordinates."""
+    n, _, h, w = x.shape
+    ho, wo = size
+    jx = np.arange(wo, dtype=x.dtype) * ((w - 1) / max(wo - 1, 1))
+    jy = np.arange(ho, dtype=x.dtype) * ((h - 1) / max(ho - 1, 1))
+    return g.sample_bilinear(x, np.broadcast_to(jx, (n, ho, wo)), np.broadcast_to(jy[:, None], (n, ho, wo)))
+
+
+@pytest.mark.parametrize(
+    "src, size",
+    [((15, 20), (60, 80)), ((30, 40), (60, 80)), ((60, 80), (60, 80)), ((1, 5), (6, 7)),
+     ((4, 1), (6, 7)), ((1, 1), (3, 4)), ((7, 9), (1, 1)), ((7, 9), (1, 5)), ((7, 9), (4, 1))],
+)
+def test_upsample_product_matches_the_gather(src, size, monkeypatch):
+    rng = np.random.default_rng(40)
+    x = rng.random((2, 3) + src) + 0.5
+    cot = rng.normal(size=(2, 3) + size)
+
+    def run(fn):
+        xv = g.Var(x, requires_grad=True)
+        out = fn(xv, size)
+        return out.data, g.backward((out * cot).sum())[xv].data
+
+    with monkeypatch.context() as patch:
+        patch.setattr(kernels, "sample_bilinear", None)  # the product path never gathers
+        results = [run(g.upsample_bilinear)]
+    results.append(run(_gathered_upsample))
+    for got, want in zip(*results):
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_upsample_product_gradcheck():
+    x = np.random.default_rng(41).normal(size=(2, 2, 4, 5))
+    gradcheck(lambda a: (g.upsample_bilinear(a, (7, 9)) ** 2.0).sum(), [x])
+
+
+def test_upsample_keeps_float32_at_every_node(node_dtypes):
+    x = g.Var(np.random.default_rng(42).random((1, 2, 5, 6)).astype(np.float32), requires_grad=True)
+    out = g.upsample_bilinear(x, (9, 11))
+    grads = g.backward((out * out).sum())
+    assert out.dtype == grads[x].dtype == np.float32
+    assert node_dtypes and set(node_dtypes) == {np.dtype(np.float32)}  # every node and vjp array
+
+
+def test_upsample_non_finite_values_stay_local():
+    # a NaN pixel takes the gather: a NaN window, not a NaN image
+    x = np.zeros((1, 1, 10, 10))
+    x[0, 0, 4, 6] = np.nan
+    xv = g.Var(x, requires_grad=True)
+    out = g.upsample_bilinear(xv, (19, 19))
+    assert np.array_equal(out.data, _gathered_upsample(xv, (19, 19)).data, equal_nan=True)
+    assert np.array_equal(np.isnan(out.data[0, 0]), np.pad(np.ones((4, 4), bool), ((6, 9), (10, 5))))
+    # a NaN gradient reaches only the pixels its output interpolates from
+    cot = np.zeros((1, 1, 19, 19))
+    cot[0, 0, 9, 13] = np.nan
+    xv = g.Var(np.ones((1, 1, 10, 10)), requires_grad=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grad = g.backward((g.upsample_bilinear(xv, (19, 19)) * cot).sum())[xv].data[0, 0]
+    assert np.array_equal(np.isnan(grad), np.pad(np.ones((2, 2), bool), ((4, 4), (6, 2))))
+    assert not grad[~np.isnan(grad)].any()
+
+
+def test_upsample_operators_are_cached_and_read_only():
+    m = kernels._axis_operator(15, 60, "bilinear", np.dtype(np.float64))
+    assert m.shape == (60, 15) and m is kernels._axis_operator(15, 60, "bilinear", np.dtype(np.float64))
+    assert np.allclose(m.sum(axis=1), 1.0)  # every output pixel is a convex combination
+    with pytest.raises(ValueError):
+        m[0, 0] = 1.0
+
+
 # --- sample_bilinear against the former four-corner op ----------------------
 
 
