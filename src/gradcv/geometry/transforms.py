@@ -4,7 +4,8 @@ and the normalized-coordinate homography warp used by registration.
 Every homography fit builds its rows with `_dlt_system`: the exact 4-point
 solve of a batch (`_solve_minimal`, used by `get_perspective_transform` and
 the RANSAC hypotheses of `features.ransac_homography`) and the least-squares
-refit on the inliers (`_dlt_least_squares`).
+refit on the inliers (`_dlt_least_squares`), which solves on Hartley-normalized
+points so that its normal equations stay well conditioned far from the origin.
 
 Warp convention: the matrix maps input pixel coordinates to output pixel
 coordinates; warps are inverse-sampling (each output pixel back-projects
@@ -110,11 +111,24 @@ def _solve_minimal(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     return np.concatenate([h, np.ones((len(h), 1))], axis=1).reshape(-1, 3, 3)
 
 
+def _hartley(p: np.ndarray) -> tuple:
+    """Similarity T taking (n, 2) points' centroid to 0 and their mean distance
+    from it to sqrt(2) (Hartley & Zisserman, section 4.4), and the points T p."""
+    c = p.mean(axis=0)
+    d = np.hypot(*(p - c).T).mean()
+    s = np.sqrt(2.0) / d if d > 0 else 1.0
+    return np.array([[s, 0.0, -s * c[0]], [0.0, s, -s * c[1]], [0.0, 0.0, 1.0]]), (p - c) * s
+
+
 def _dlt_least_squares(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """Overdetermined DLT with h22 = 1 via normal equations."""
-    a, b = _dlt_system(src, dst)
-    h = np.linalg.solve(a.T @ a, a.T @ b)
-    return np.append(h, 1.0).reshape(3, 3)
+    """Overdetermined DLT via normal equations, on Hartley-normalized points
+    with h22 = 1 there; returns T_dst^-1 H T_src scaled to H[2,2] = 1."""
+    t_src, src_n = _hartley(src)
+    t_dst, dst_n = _hartley(dst)
+    a, b = _dlt_system(src_n, dst_n)
+    h = np.append(np.linalg.solve(a.T @ a, a.T @ b), 1.0).reshape(3, 3)
+    h = np.linalg.solve(t_dst, h @ t_src)
+    return h / h[2, 2]
 
 
 def get_perspective_transform(src, dst) -> np.ndarray:

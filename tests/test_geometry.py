@@ -42,6 +42,20 @@ def test_dlt_random_quad_reprojection(seed):
     assert np.abs(proj - dst).max() < 1e-6
 
 
+@pytest.mark.parametrize("offset", [0.0, 1e5])
+def test_dlt_least_squares_refit_is_exact_far_from_the_origin(offset):
+    # 300 exact correspondences of a perspective map, both sides shifted by offset px:
+    # on raw coordinates the normal equations lose the fit (cond(A^T A) ~ 1e27 at 1e5)
+    from gradcv.geometry.transforms import _dlt_least_squares
+
+    h0 = np.array([[1.02, 0.05, 3.0], [-0.04, 0.98, -2.0], [2e-4, -1e-4, 1.0]])
+    p = np.random.default_rng(17).uniform(0.0, 256.0, (300, 2))
+    src, dst = p + offset, geo.transform_points(h0, p).data + offset
+    h = _dlt_least_squares(src, dst)
+    assert h[2, 2] == 1.0
+    assert np.abs(geo.transform_points(h, src).data - dst).max() < 1e-6
+
+
 def test_dlt_collinear_rejected():
     src = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [0.0, 5.0]])
     dst = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
