@@ -11,6 +11,13 @@ A step is batched: the V source views are stacked once per run, beside the
 reference broadcast to (V,C,H,W); one `depth_warp` call warps the stack and
 one `multiview_photo_loss` call scores it, averaging the per-view photometric
 terms, with one smoothness term weighted by the reference's edges.
+
+A step computes only what changes with the depth.  The constants of a run
+are built on the first step and reused: the reference stack and the edge
+image are constant Vars, so `losses.ssim` keeps the reference's blurred mean
+and second moment on them and `losses.smoothness_loss` its edge weights;
+`depth_warp` caches the cameras' rays and offsets; and the coarse-to-full
+`upsample_bilinear` is two products with cached interpolation operators.
 """
 from __future__ import annotations
 

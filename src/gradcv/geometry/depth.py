@@ -9,8 +9,8 @@ a stack of V views: one multiply by (V,3,P) rays, one add of (V,3,1)
 offsets, and one pass of the shared divide-and-sample tail of
 `geometry.transforms`.  The rays and offsets are built once per (cameras,
 size) and kept read-only in a small cache (`_camera_terms`), so a depth
-optimization builds them once per run.  The warp is differentiable w.r.t. both the
-reference depth and the source images; pixels that land behind
+optimization builds them once per run.  The warp is differentiable w.r.t.
+both the reference depth and the source images; pixels that land behind
 (z <= 1e-6) or outside the source view sample zero.
 """
 from __future__ import annotations
@@ -29,9 +29,9 @@ from .transforms import _dehomogenize_and_sample, _pixel_grid
 _Z_EPS = 1e-6
 
 
-def _rays(cam: PinholeCamera, h: int, w: int) -> np.ndarray:
+def _rays(k: np.ndarray, h: int, w: int) -> np.ndarray:
     """Unit-depth ray directions K^-1 [u, v, 1], (3, H*W), for every pixel center."""
-    return inverse_transform(cam.k) @ _pixel_grid(h, w, np.float64)
+    return inverse_transform(k) @ _pixel_grid(h, w, np.float64)
 
 
 @functools.lru_cache(maxsize=4)
@@ -42,7 +42,7 @@ def _camera_terms(ks: bytes, poses: bytes, h: int, w: int) -> tuple:
     k = np.frombuffer(ks).reshape(-1, 3, 3)
     t = np.frombuffer(poses).reshape(-1, 4, 4)
     t_rel = np.stack([relative_transform(t[0], t_src) for t_src in t[1:]])
-    rays = k[1:] @ t_rel[:, :3, :3] @ (inverse_transform(k[0]) @ _pixel_grid(h, w, np.float64))
+    rays = k[1:] @ t_rel[:, :3, :3] @ _rays(k[0], h, w)
     return _frozen(rays), _frozen(k[1:] @ t_rel[:, :3, 3:])
 
 
@@ -52,7 +52,7 @@ def depth_to_3d(depth, cam: PinholeCamera) -> Var:
     if depth.ndim != 4 or depth.shape[1] != 1:
         raise ShapeError(f"depth must be (N,1,H,W), got {depth.shape}")
     _, _, h, w = depth.shape
-    return depth * _rays(cam, h, w).reshape(1, 3, h, w)
+    return depth * _rays(cam.k, h, w).reshape(1, 3, h, w)
 
 
 def depth_normals(depth, cam: PinholeCamera) -> Var:

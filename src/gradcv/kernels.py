@@ -5,6 +5,10 @@ All image inputs are 4-D NCHW.  Convolution is correlation (kernels are not
 flipped), matching the usual CV convention.  A constant shared 1-D kernel on a short axis
 is one product with a cached, border-folded (n, n) operator (`_axis_product`); others run
 one multiply-add per tap over padded views.  `_conv_input_vjp` is also the blur's adjoint.
+`upsample_bilinear` is the product Uy . x . Ux^T with cached corner-aligned (Ho, H) and
+(Wo, W) interpolation operators.  Both kinds of operator share one cache
+(`_axis_operator`) and one product (`_product`), which declines a NaN or inf input so
+that the taps or the `sample_bilinear` gather keep it local.
 """
 from __future__ import annotations
 
@@ -125,7 +129,7 @@ def _axis_product(a: np.ndarray, k3: np.ndarray, border: str, adjoint: bool = Fa
     """a (N,C,H,W) correlated with a shared 1-D kernel k3 (or its adjoint) as one product; None: use taps."""
     col = k3.shape[2] == 1 < k3.shape[1]
     n = a.shape[2 if col else 3]
-    # the taps also report a bad border, and keep a non-finite pixel local
+    # the taps also report a bad border, and keep a non-finite pixel local when _product declines it
     if (k3.shape[0] > 1 or min(k3.shape[1:]) > 1 or n > min(_MATRIX_EXTENT * k3.size, _MATRIX_MAX_N)
             or border not in BORDER_MODES):
         return None
