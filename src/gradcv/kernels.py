@@ -30,6 +30,7 @@ _NP_PAD_MODES = {"zero": "constant", "replicate": "edge", "reflect": "symmetric"
 _SNAP_EPS = 1e-8
 
 _MATRIX_EXTENT, _MATRIX_MAX_N = 32, 512  # _axis_product's n <= min(32 k, 512): n MACs at BLAS speed, <= 2 MB
+# (upsample_bilinear's extents are capped at 512 too, so every cached operator stays <= 2 MB)
 
 
 def _require_4d(x: Var, who: str) -> None:
@@ -308,8 +309,9 @@ def upsample_bilinear(x, size: Tuple[int, int]) -> Var:
     """Resize to (Ho,Wo) with bilinear interpolation, corners aligned.
 
     One product Uy . x . Ux^T with the cached (Ho,H) and (Wo,W) interpolation
-    operators, and Uy^T . g . Ux as its vjp; an input holding a NaN or inf is
-    sampled by `sample_bilinear` instead, so the NaN stays local.
+    operators, and Uy^T . g . Ux as its vjp.  An input holding a NaN or inf, so
+    that the NaN stays local, or an extent over 512 pixels is sampled by
+    `sample_bilinear` instead.
     """
     x = as_var(x)
     _require_4d(x, "upsample_bilinear")
@@ -317,8 +319,10 @@ def upsample_bilinear(x, size: Tuple[int, int]) -> Var:
     ho, wo = (int(v) for v in size)
     if ho < 1 or wo < 1:
         raise ParameterError(f"output size must be >= 1, got ({ho},{wo})")
-    my, mx = _axis_operator(h, ho, "bilinear", x.dtype), _axis_operator(w, wo, "bilinear", x.dtype)
-    out = _product(x.data, my, mx)
+    my = mx = out = None
+    if max(h, w, ho, wo) <= _MATRIX_MAX_N:
+        my, mx = _axis_operator(h, ho, "bilinear", x.dtype), _axis_operator(w, wo, "bilinear", x.dtype)
+        out = _product(x.data, my, mx)
     if out is None:  # the gather, on fresh grids wrapped without the copy a Var of a plain array makes
         px = Var._wrap(np.broadcast_to(_aligned(wo, w, x.dtype)[None, None, :], (n, ho, wo)).copy())
         py = Var._wrap(np.broadcast_to(_aligned(ho, h, x.dtype)[None, :, None], (n, ho, wo)).copy())

@@ -296,6 +296,14 @@ def test_upsample_product_matches_the_gather(src, size, monkeypatch):
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
+def test_upsample_past_the_operator_cap_takes_the_gather(monkeypatch):
+    x = g.Var(np.random.default_rng(43).random((1, 2, 3, 5)))
+    monkeypatch.setattr(kernels, "_MATRIX_MAX_N", 8)  # an output of 9 columns is past it
+    assert np.array_equal(g.upsample_bilinear(x, (6, 9)).data, _gathered_upsample(x, (6, 9)).data)
+    monkeypatch.setattr(kernels, "sample_bilinear", None)
+    g.upsample_bilinear(x, (6, 8))  # 8 columns: the product
+
+
 def test_upsample_product_gradcheck():
     x = np.random.default_rng(41).normal(size=(2, 2, 4, 5))
     gradcheck(lambda a: (g.upsample_bilinear(a, (7, 9)) ** 2.0).sum(), [x])
