@@ -2,13 +2,13 @@
 convolution, bilinear sampling, and patch extraction.
 
 All image inputs are 4-D NCHW.  Convolution is correlation (kernels are not
-flipped), matching the usual CV convention.  A constant shared 1-D kernel on a short axis
-is one product with a cached, border-folded (n, n) operator (`_axis_product`); others run
-one multiply-add per tap over padded views.  `_conv_input_vjp` is also the blur's adjoint.
-`upsample_bilinear` is the product Uy . x . Ux^T with cached corner-aligned (Ho, H) and
-(Wo, W) interpolation operators.  Both kinds of operator share one cache
-(`_axis_operator`) and one product (`_product`), which declines a NaN or inf input so
-that the taps or the `sample_bilinear` gather keep it local.
+flipped), matching the usual CV convention.  A constant shared 1-D kernel at any extent is
+a product with a cached, border-folded operator kept as row tiles (`_axis_product`); a
+tracked, per-channel or 2-D kernel runs one multiply-add per tap over padded views.
+`_conv_input_vjp` is also the blur's adjoint.  `upsample_bilinear` is the product
+Uy . x . Ux^T with cached corner-aligned (Ho, H) and (Wo, W) interpolation operators.  Both
+kinds of operator share one cache (`_axis_operator`) and one product (`_product`), which
+declines a NaN or inf input so that the taps or the `sample_bilinear` gather keep it local.
 """
 from __future__ import annotations
 
@@ -29,8 +29,10 @@ _NP_PAD_MODES = {"zero": "constant", "replicate": "edge", "reflect": "symmetric"
 # identity grids and integer-pixel warps reproduce inputs bit-for-bit.
 _SNAP_EPS = 1e-8
 
-_MATRIX_EXTENT, _MATRIX_MAX_N = 32, 512  # _axis_product's n <= min(32 k, 512): n MACs at BLAS speed, <= 2 MB
-# (upsample_bilinear's extents are capped at 512 too, so every cached operator stays <= 2 MB)
+# Output rows per operator tile, so an operator holds about n (_TILE + k) entries.  With one
+# BLAS thread 32 beat 64 and 128 on every 1-D pass measured at 128-1024 px, and it keeps a
+# 4096-px 11-tap float64 operator at 1.4 MB.
+_TILE = 32
 
 
 def _require_4d(x: Var, who: str) -> None:
@@ -94,12 +96,13 @@ def _correlate(xp: np.ndarray, k: np.ndarray, h: int, w: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def _axis_operator(n: int, spec, mode: str, dtype: np.dtype) -> np.ndarray:
-    """Read-only operator on an axis of n pixels.  For a border mode, the (n, n)
-    correlation with the float64 taps in spec (bytes): row o holds them at the
-    source pixels the border maps them to.  For "bilinear", the (spec, n)
-    corner-aligned interpolation onto spec pixels, its coordinates snapped as
-    sample_bilinear snaps them."""
+def _axis_operator(n: int, spec, mode: str, dtype: np.dtype) -> tuple:
+    """Read-only operator on an axis of n pixels as row tiles (lo, block): _TILE rows (the
+    last tile the rest) over the source pixels lo : lo + block.shape[1] they read; the last
+    window ends at n.  For a border mode, rows of the (n, n) correlation with the float64
+    taps in spec (bytes) at the source pixels the border maps them to.  For "bilinear", rows
+    of the (spec, n) corner-aligned interpolation, its coordinates snapped as sample_bilinear
+    snaps them."""
     if mode == "bilinear":
         c = _snap(_aligned(spec, n, dtype).astype(np.float64))
         i0 = np.floor(c)
@@ -108,33 +111,61 @@ def _axis_operator(n: int, spec, mode: str, dtype: np.dtype) -> np.ndarray:
     else:
         vals = np.frombuffer(spec)
         cols = sliding_window_view(_pad_index(n, vals.size // 2, vals.size // 2, mode), vals.size)
-    m = np.zeros((len(cols), n + 1))  # a zero-fill tap (-1) or one past the last pixel lands in column n, dropped
-    np.add.at(m, (np.arange(len(cols))[:, None], cols), vals)
-    return _frozen(m[:, :n].astype(dtype))
+    vals = np.broadcast_to(vals, cols.shape)
+    tiles = []
+    for s in range(0, len(cols), _TILE):
+        c, v = cols[s : s + _TILE], vals[s : s + _TILE]
+        read = (c >= 0) & (c < n)  # a zero-fill tap (-1) or one past the last pixel reads nothing
+        lo = c[read].min()
+        hi = n if s + _TILE >= len(cols) else c[read].max() + 1
+        block = np.zeros((len(c), hi - lo))
+        np.add.at(block, (np.nonzero(read)[0], c[read] - lo), v[read])
+        tiles.append((int(lo), _frozen(block.astype(dtype))))
+    return tuple(tiles)
+
+
+def _apply(a: np.ndarray, tiles: tuple, axis: int, adjoint: bool) -> np.ndarray:
+    """a's axis (its last or the one before) through a tiled operator, or through its adjoint."""
+    n = tiles[-1][0] + tiles[-1][1].shape[1] if adjoint else sum(len(b) for _, b in tiles)
+    out = np.empty(a.shape[:axis] + (n,) + a.shape[axis + 1 :], np.result_type(a, tiles[0][1]))
+    at = (slice(None),) * axis
+    mul = (lambda m, v, o=None: np.matmul(v, m.T, out=o)) if axis == a.ndim - 1 else np.matmul
+    s = done = 0  # the adjoint has written out's pixels [0, done)
+    for lo, block in tiles:
+        rows, hi = at + (slice(s, s + len(block)),), lo + block.shape[1]
+        s += len(block)
+        if not adjoint:
+            mul(block, a[at + (slice(lo, hi),)], out[rows])
+            continue
+        # windows overlap: add into what an earlier tile wrote, write the rest, and zero a gap
+        out[at + (slice(done, lo),)] = 0
+        cut = min(max(done - lo, 0), hi - lo)
+        out[at + (slice(lo, lo + cut),)] += mul(block.T[:cut], a[rows])
+        mul(block.T[cut:], a[rows], out[at + (slice(lo + cut, hi),)])
+        done = max(done, hi)
+    return out
 
 
 def _product(a: np.ndarray, my, mx, adjoint: bool = False):
     """my . a . mx^T over a's two trailing axes (an operator of None leaves its axis
-    as is), or the adjoint my^T . a . mx; None when a holds a NaN or inf, which a
-    product would spread over whole rows as 0 * inf."""
+    as is), or the adjoint my^T . a . mx, one tile of each operator at a time; None
+    when a holds a NaN or inf, which a product would spread over whole rows as 0 * inf."""
     if not np.isfinite(a).all():
         return None
     if mx is not None:
-        a = (a.reshape(-1, a.shape[3]) @ (mx if adjoint else mx.T)).reshape(a.shape[:3] + (-1,))
+        a = _apply(a.reshape(-1, a.shape[3]), mx, 1, adjoint).reshape(a.shape[:3] + (-1,))
     if my is not None:
-        a = (my.T if adjoint else my) @ a
+        a = _apply(a, my, 2, adjoint)
     return a
 
 
 def _axis_product(a: np.ndarray, k3: np.ndarray, border: str, adjoint: bool = False):
     """a (N,C,H,W) correlated with a shared 1-D kernel k3 (or its adjoint) as one product; None: use taps."""
     col = k3.shape[2] == 1 < k3.shape[1]
-    n = a.shape[2 if col else 3]
     # the taps also report a bad border, and keep a non-finite pixel local when _product declines it
-    if (k3.shape[0] > 1 or min(k3.shape[1:]) > 1 or n > min(_MATRIX_EXTENT * k3.size, _MATRIX_MAX_N)
-            or border not in BORDER_MODES):
+    if k3.shape[0] > 1 or min(k3.shape[1:]) > 1 or border not in BORDER_MODES:
         return None
-    m = _axis_operator(n, k3.astype(np.float64).tobytes(), border, a.dtype)
+    m = _axis_operator(a.shape[2 if col else 3], k3.astype(np.float64).tobytes(), border, a.dtype)
     return _product(a, m, None, adjoint) if col else _product(a, None, m, adjoint)
 
 
@@ -309,9 +340,8 @@ def upsample_bilinear(x, size: Tuple[int, int]) -> Var:
     """Resize to (Ho,Wo) with bilinear interpolation, corners aligned.
 
     One product Uy . x . Ux^T with the cached (Ho,H) and (Wo,W) interpolation
-    operators, and Uy^T . g . Ux as its vjp.  An input holding a NaN or inf, so
-    that the NaN stays local, or an extent over 512 pixels is sampled by
-    `sample_bilinear` instead.
+    operators, and Uy^T . g . Ux as its vjp.  An input holding a NaN or inf is
+    sampled by `sample_bilinear` instead, so that the NaN stays local.
     """
     x = as_var(x)
     _require_4d(x, "upsample_bilinear")
@@ -319,10 +349,8 @@ def upsample_bilinear(x, size: Tuple[int, int]) -> Var:
     ho, wo = (int(v) for v in size)
     if ho < 1 or wo < 1:
         raise ParameterError(f"output size must be >= 1, got ({ho},{wo})")
-    my = mx = out = None
-    if max(h, w, ho, wo) <= _MATRIX_MAX_N:
-        my, mx = _axis_operator(h, ho, "bilinear", x.dtype), _axis_operator(w, wo, "bilinear", x.dtype)
-        out = _product(x.data, my, mx)
+    my, mx = _axis_operator(h, ho, "bilinear", x.dtype), _axis_operator(w, wo, "bilinear", x.dtype)
+    out = _product(x.data, my, mx)
     if out is None:  # the gather, on fresh grids wrapped without the copy a Var of a plain array makes
         px = Var._wrap(np.broadcast_to(_aligned(wo, w, x.dtype)[None, None, :], (n, ho, wo)).copy())
         py = Var._wrap(np.broadcast_to(_aligned(ho, h, x.dtype)[None, :, None], (n, ho, wo)).copy())

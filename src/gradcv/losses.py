@@ -47,8 +47,8 @@ def ssim(x, y, window: int = 11, max_val: float = 1.0) -> Var:
     Windowed statistics use the reflect border, so the map has full image
     size.  C1=(0.01*max_val)^2, C2=(0.03*max_val)^2.  The forward blurs xy and
     each tracked operand's v and v^2 in one stacked gaussian_blur2d G = My . Mx^T,
-    products with cached border-folded axis operators (taps past 32 windows); a
-    constant operand's mu and E[v^2] are blurred once and kept on its Var.  With S = A1 A2 / (B1 B2) as in
+    products with cached border-folded axis operators at every size; a constant
+    operand's mu and E[v^2] are blurred once and kept on its Var.  With S = A1 A2 / (B1 B2) as in
     Wang et al. 2004 (Image Quality Assessment: From Error Visibility to
     Structural Similarity), the vjp takes the closed-form maps
     a_y = dS/dmu_y = 2 (mu_x (A2 - A1) - mu_y S (B2 - B1)) / (B1 B2),

@@ -218,48 +218,55 @@ def test_filter_gradchecks(seed):
     gradcheck(lambda v: filters.median_blur(v, (3, 3)).mean(), [x])
 
 
-# --- the matrix path -------------------------------------------------------------
-# A 1-D pass over an axis of at most min(32 k, 512) pixels runs as a product with a
-# cached operator; a longer one runs conv2d's taps.  The shapes below take each side
-# of the rule: both passes by products, both by taps, or one of each.
+# --- the product path -------------------------------------------------------------
+# Every 1-D pass of a blur is a product with a cached operator kept as row tiles, at any
+# extent.  The shapes below cover one tile, several tiles, an axis past 512 pixels and
+# kernels longer than a tile; the oracle runs every pass by taps.
 
 _BLUR_CASES = [
-    ((12, 15), (5, 3)), ((11, 9), (11, 9)), ((96, 160), (3, 5)),  # products; (11, 9): kernels as long as the axes
-    ((97, 161), (3, 5)), ((513, 40), (17, 1)),  # taps; 513 > 512 though under 32 x 17
-    ((7, 161), (3, 5)), ((97, 13), (3, 13)),  # one pass of each
+    ((12, 15), (5, 3)), ((11, 9), (11, 9)),  # one tile; (11, 9): kernels as long as the axes
+    ((96, 160), (3, 5)), ((33, 65), (3, 13)),  # several tiles; one row past a tile
+    ((97, 161), (37, 5)), ((7, 700), (3, 41)),  # kernels longer than a tile
+    ((700, 40), (17, 1)),  # past 512 pixels
 ]
 
 
-def _uses_taps(n, k):
-    return n > min(32 * k, 512)
+def _blur_by_taps(x, size, sigma, border):
+    """The oracle: each pass by pad2d and one multiply-add per tap (kernels._correlate)."""
+    for k in (filters.gaussian_kernel1d(size[0], sigma[0]).data.T, filters.gaussian_kernel1d(size[1], sigma[1]).data):
+        xp = g.pad2d(x, (k.shape[0] // 2, k.shape[0] // 2, k.shape[1] // 2, k.shape[1] // 2), border).data
+        x = kernels._correlate(xp, k[None], *x.shape[2:])
+    return x
 
 
 @pytest.mark.parametrize("border", ["zero", "replicate", "reflect"])
 @pytest.mark.parametrize("hw, size", _BLUR_CASES)
-def test_blur_matches_the_tap_oracle(hw, size, border, monkeypatch):
+def test_blur_matches_the_tap_oracle(hw, size, border):
     rng = np.random.default_rng(60)
     x = rng.random((2, 3) + hw)
     cot = rng.normal(size=x.shape)
-    results = []
-    for extent in (32, 0):  # as shipped, then the oracle: every pass by taps
-        monkeypatch.setattr(kernels, "_MATRIX_EXTENT", extent)
-        xv = g.Var(x, requires_grad=True)
-        out = filters.gaussian_blur2d(xv, size, (1.3, 0.9), border)
-        results.append((out.data, g.backward((out * cot).sum())[xv].data))
-    for got, want in zip(*results):
-        if all(map(_uses_taps, hw, size)):
-            assert np.array_equal(got, want)
-        else:
-            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    sigma = tuple(0.25 * k + 0.5 for k in size)  # every tap of a long kernel carries weight
+    xv = g.Var(x, requires_grad=True)
+    out = filters.gaussian_blur2d(xv, size, sigma, border)
+    got = (out.data, g.backward((out * cot).sum())[xv].data)
+    # the gradient's oracle: the same two passes with tracked kernels, which run the taps
+    xv = g.Var(x, requires_grad=True)
+    ky, kx = (filters.gaussian_kernel1d(k, s).data for k, s in zip(size, sigma))
+    ky, kx = g.Var(ky.T, requires_grad=True), g.Var(kx, requires_grad=True)
+    taps = g.conv2d(g.conv2d(xv, ky, border=border), kx, border=border)
+    assert np.array_equal(taps.data, _blur_by_taps(x, size, sigma, border))
+    want = (taps.data, g.backward((taps * cot).sum())[xv].data)
+    for a, b in zip(got, want):
+        assert np.abs(a - b).max() <= 1e-14 * np.abs(b).max()
 
 
-@pytest.mark.parametrize("n, size", [(4, 11), (600, 1203)])  # a product, then taps
+@pytest.mark.parametrize("n, size", [(4, 11), (600, 1203)])  # one tile, then many
 def test_blur_rejects_reflect_padding_larger_than_the_extent(n, size):
     with pytest.raises(g.ParameterError):
         filters.gaussian_blur2d(g.Var(np.ones((1, 1, n, 3))), (size, 3), (1.5, 1.0))
 
 
-@pytest.mark.parametrize("hw, size", [((6, 9), (5, 3)), ((3, 100), (1, 3))])  # products, then a row of taps
+@pytest.mark.parametrize("hw, size", [((6, 9), (5, 3)), ((3, 100), (1, 3))])  # one tile, then rows of four
 def test_blur_is_one_node_and_gradchecks(hw, size):
     x = np.random.default_rng(61).random((2, 1) + hw)
     w = np.random.default_rng(62).normal(size=x.shape)
@@ -268,7 +275,7 @@ def test_blur_is_one_node_and_gradchecks(hw, size):
     gradcheck(lambda v: (filters.gaussian_blur2d(v, size, (1.2, 0.8), "replicate") * w).sum(), [x])
 
 
-@pytest.mark.parametrize("hw", [(9, 10), (9, 100)])  # products, then a row of taps
+@pytest.mark.parametrize("hw", [(9, 10), (9, 100)])  # one tile, then rows of four
 def test_blur_keeps_float32_at_every_node(hw, node_dtypes):
     x = g.Var(np.random.default_rng(63).random((2, 3) + hw).astype(np.float32), requires_grad=True)
     out = filters.gaussian_blur2d(x, (5, 3), (1.5, 1.0))
@@ -278,11 +285,21 @@ def test_blur_keeps_float32_at_every_node(hw, node_dtypes):
 
 def test_axis_operator_is_cached_and_read_only():
     taps = filters.gaussian_kernel1d(5, 1.5).data.tobytes()
-    m = kernels._axis_operator(12, taps, "reflect", np.dtype(np.float64))
-    assert m is kernels._axis_operator(12, taps, "reflect", np.dtype(np.float64))
-    assert np.allclose(m.sum(axis=1), 1.0)  # reflect folds every tap back in: rows keep mass 1
-    with pytest.raises(ValueError):
-        m[0, 0] = 1.0
+    op = kernels._axis_operator(100, taps, "reflect", np.dtype(np.float64))
+    assert op is kernels._axis_operator(100, taps, "reflect", np.dtype(np.float64))
+    assert len(op) > 1 and sum(len(block) for _, block in op) == 100
+    # reflect folds every tap back in: every row keeps mass 1
+    assert np.allclose(kernels._product(np.ones((1, 1, 100, 2)), op, None), 1.0)
+    for _, block in op:
+        with pytest.raises(ValueError):
+            block[0, 0] = 1.0
+
+
+def test_axis_operator_bytes_grow_with_the_extent_only():
+    # about n (tile + k) entries; a dense (n, n) operator would hold 128 MB here
+    taps = filters.gaussian_kernel1d(11, 1.5).data.tobytes()
+    op = kernels._axis_operator(4096, taps, "reflect", np.dtype(np.float64))
+    assert sum(block.nbytes for _, block in op) < 2 * 2**20
 
 
 def test_blur_takes_numpy_scalars_and_rejects_a_border_that_is_not_a_mode():

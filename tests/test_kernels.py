@@ -122,17 +122,27 @@ def test_conv2d_constant_1d_kernel_product_matches_dense_oracle(kshape, border):
 
 def test_conv2d_tracked_1d_kernel_stays_on_the_taps(monkeypatch):
     # the kernel vjp needs the padded input, so forward and input vjp both run the taps
+    monkeypatch.setattr(kernels, "_product", None)  # a product would raise
     rng = np.random.default_rng(22)
-    x, k = rng.normal(size=(2, 1, 4, 7)), rng.normal(size=(1, 7))
-    cot = rng.normal(size=x.shape)
-    results = []
-    for extent in (32, 0):  # as shipped, then with the product path off
-        monkeypatch.setattr(kernels, "_MATRIX_EXTENT", extent)
-        xv, kv = g.Var(x, requires_grad=True), g.Var(k, requires_grad=True)
-        out = g.conv2d(xv, kv, border="reflect")
-        grads = g.backward((out * cot).sum())
-        results.append((out.data, grads[xv].data, grads[kv].data))
-    assert all(np.array_equal(a, b) for a, b in zip(*results))
+    # past 512 pixels, and a kernel longer than a tile
+    for shape, kshape in [((2, 1, 4, 700), (1, 41)), ((1, 2, 70, 5), (37, 1))]:
+        x, k, cot = rng.normal(size=shape), rng.normal(size=kshape), rng.normal(size=shape)
+        pads = (kshape[0] // 2, kshape[0] // 2, kshape[1] // 2, kshape[1] // 2)
+        for border in ("zero", "replicate", "reflect"):
+            xv, kv = g.Var(x, requires_grad=True), g.Var(k, requires_grad=True)
+            out = g.conv2d(xv, kv, border=border)
+            grads = g.backward((out * cot).sum())
+            # the oracle: pad2d, one multiply-add per tap, and their adjoints
+            xp = g.Var(x, requires_grad=True)
+            padded = g.pad2d(xp, pads, border)
+            assert np.array_equal(out.data, kernels._correlate(padded.data, k[None], *shape[2:]))
+            gp = np.zeros(padded.shape)
+            for i, j in np.ndindex(*kshape):
+                tap = (slice(None), slice(None), slice(i, i + shape[2]), slice(j, j + shape[3]))
+                gp[tap] += cot * k[i, j]
+                assert np.isclose(grads[kv].data[i, j], (padded.data[tap] * cot).sum())
+            want = g.backward((padded * gp).sum())[xp].data
+            assert np.abs(grads[xv].data - want).max() <= 1e-14 * np.abs(want).max()
 
 
 @pytest.mark.parametrize(
@@ -276,7 +286,8 @@ def _gathered_upsample(x, size):
 @pytest.mark.parametrize(
     "src, size",
     [((15, 20), (60, 80)), ((30, 40), (60, 80)), ((60, 80), (60, 80)), ((1, 5), (6, 7)),
-     ((4, 1), (6, 7)), ((1, 1), (3, 4)), ((7, 9), (1, 1)), ((7, 9), (1, 5)), ((7, 9), (4, 1))],
+     ((4, 1), (6, 7)), ((1, 1), (3, 4)), ((7, 9), (1, 1)), ((7, 9), (1, 5)), ((7, 9), (4, 1)),
+     ((20, 30), (700, 41)), ((700, 600), (9, 40))],  # past 512 pixels, up and down
 )
 def test_upsample_product_matches_the_gather(src, size, monkeypatch):
     rng = np.random.default_rng(40)
@@ -294,14 +305,6 @@ def test_upsample_product_matches_the_gather(src, size, monkeypatch):
     results.append(run(_gathered_upsample))
     for got, want in zip(*results):
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
-
-
-def test_upsample_past_the_operator_cap_takes_the_gather(monkeypatch):
-    x = g.Var(np.random.default_rng(43).random((1, 2, 3, 5)))
-    monkeypatch.setattr(kernels, "_MATRIX_MAX_N", 8)  # an output of 9 columns is past it
-    assert np.array_equal(g.upsample_bilinear(x, (6, 9)).data, _gathered_upsample(x, (6, 9)).data)
-    monkeypatch.setattr(kernels, "sample_bilinear", None)
-    g.upsample_bilinear(x, (6, 8))  # 8 columns: the product
 
 
 def test_upsample_product_gradcheck():
@@ -337,11 +340,14 @@ def test_upsample_non_finite_values_stay_local():
 
 
 def test_upsample_operators_are_cached_and_read_only():
-    m = kernels._axis_operator(15, 60, "bilinear", np.dtype(np.float64))
-    assert m.shape == (60, 15) and m is kernels._axis_operator(15, 60, "bilinear", np.dtype(np.float64))
-    assert np.allclose(m.sum(axis=1), 1.0)  # every output pixel is a convex combination
-    with pytest.raises(ValueError):
-        m[0, 0] = 1.0
+    op = kernels._axis_operator(15, 60, "bilinear", np.dtype(np.float64))
+    assert op is kernels._axis_operator(15, 60, "bilinear", np.dtype(np.float64))
+    assert len(op) > 1 and sum(len(block) for _, block in op) == 60
+    # every output pixel is a convex combination: every row has mass 1
+    assert np.allclose(kernels._product(np.ones((1, 1, 15, 2)), op, None), 1.0)
+    for _, block in op:
+        with pytest.raises(ValueError):
+            block[0, 0] = 1.0
 
 
 # --- sample_bilinear against the former four-corner op ----------------------
