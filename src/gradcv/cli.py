@@ -12,7 +12,8 @@ image a.  Outputs land in --out: warped/attacked images plus trace.csv
 (iteration,level,loss).  A malformed input exits with code 2 and a message
 naming the subcommand, the file and what was being read.
 
-Exit codes: 0 success; 2 parameter/shape/usage errors; 3 estimation failures
+Exit codes: 0 success; 2 parameter/shape/usage errors and degenerate geometry
+(such as a homography that maps a point to infinity); 3 estimation failures
 (including no RANSAC consensus); 4 optimization divergence; 5 I/O errors;
 1 unexpected errors.
 """
@@ -26,6 +27,7 @@ import numpy as np
 
 from .demos import RunConfig, attack, estimate_depth, register, run_bench, write_bench_csv
 from .errors import (
+    DegenerateError,
     EstimationError,
     OptimizationError,
     ParameterError,
@@ -192,7 +194,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ParameterError, ShapeError, UsageError) as exc:
+    except (ParameterError, ShapeError, UsageError, DegenerateError) as exc:
         print(f"error: {args.command}: {exc}", file=sys.stderr)
         return 2
     except EstimationError as exc:

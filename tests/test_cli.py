@@ -180,6 +180,20 @@ def test_attack_cli_malformed_homography(tmp_path, capsys, rows):
     assert "attack" in err and "reading homography file" in err and str(h) in err
 
 
+def test_attack_cli_degenerate_homography_exit2(tmp_path, capsys):
+    # a bottom row of zeros sends every point to infinity: bad input, not a crash
+    paths = []
+    for seed in (5, 77):
+        p = tmp_path / f"{seed}.pgm"
+        g.save_image(p, synthetic.smooth_texture(96, 96, seed=seed, octaves=2))
+        paths.append(str(p))
+    h = tmp_path / "h.txt"
+    np.savetxt(h, [[1.0, 0, 0], [0, 1, 0], [0, 0, 0]])
+    assert main(["attack", *paths, str(h), "--iters", "1", "--keypoints", "60"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: attack: ") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("batches", ["1,x", "0,2", ","])
 def test_bench_cli_malformed_batches(capsys, batches):
     assert main(["bench", "--batches", batches, "--size", "8", "--repeats", "3"]) == 2
