@@ -29,10 +29,11 @@ _NP_PAD_MODES = {"zero": "constant", "replicate": "edge", "reflect": "symmetric"
 # identity grids and integer-pixel warps reproduce inputs bit-for-bit.
 _SNAP_EPS = 1e-8
 
-# Output rows per operator tile, so an operator holds about n (_TILE + k) entries.  With one
-# BLAS thread 32 beat 64 and 128 on every 1-D pass measured at 128-1024 px, and it keeps a
-# 4096-px 11-tap float64 operator at 1.4 MB.
-_TILE = 32
+# Output rows per operator tile; an operator holds about n (_TILE + k) entries, fewer where
+# tiles repeat.  128 keeps every axis up to 128 px one tile, the whole operator: with 32, a
+# `depth` step (60x80) ran 14% slower in paired runs.  From 256 to 1024 px, with one BLAS
+# thread, 128 was up to 2.6x slower than 32 and still 1.3-3x faster than the taps.
+_TILE = 128
 
 
 def _require_4d(x: Var, who: str) -> None:
@@ -99,10 +100,10 @@ def _correlate(xp: np.ndarray, k: np.ndarray, h: int, w: int) -> np.ndarray:
 def _axis_operator(n: int, spec, mode: str, dtype: np.dtype) -> tuple:
     """Read-only operator on an axis of n pixels as row tiles (lo, block): _TILE rows (the
     last tile the rest) over the source pixels lo : lo + block.shape[1] they read; the last
-    window ends at n.  For a border mode, rows of the (n, n) correlation with the float64
-    taps in spec (bytes) at the source pixels the border maps them to.  For "bilinear", rows
-    of the (spec, n) corner-aligned interpolation, its coordinates snapped as sample_bilinear
-    snaps them."""
+    window ends at n, and a tile equal to the one before shares its array.  For a border
+    mode, rows of the (n, n) correlation with the float64 taps in spec (bytes) at the source
+    pixels the border maps them to.  For "bilinear", rows of the (spec, n) corner-aligned
+    interpolation, its coordinates snapped as sample_bilinear snaps them."""
     if mode == "bilinear":
         c = _snap(_aligned(spec, n, dtype).astype(np.float64))
         i0 = np.floor(c)
@@ -120,7 +121,10 @@ def _axis_operator(n: int, spec, mode: str, dtype: np.dtype) -> tuple:
         hi = n if s + _TILE >= len(cols) else c[read].max() + 1
         block = np.zeros((len(c), hi - lo))
         np.add.at(block, (np.nonzero(read)[0], c[read] - lo), v[read])
-        tiles.append((int(lo), _frozen(block.astype(dtype))))
+        block = _frozen(block.astype(dtype))
+        if tiles and np.array_equal(block, tiles[-1][1]):  # a kernel's interior tiles repeat
+            block = tiles[-1][1]
+        tiles.append((int(lo), block))
     return tuple(tiles)
 
 
@@ -138,9 +142,11 @@ def _apply(a: np.ndarray, tiles: tuple, axis: int, adjoint: bool) -> np.ndarray:
             mul(block, a[at + (slice(lo, hi),)], out[rows])
             continue
         # windows overlap: add into what an earlier tile wrote, write the rest, and zero a gap
-        out[at + (slice(done, lo),)] = 0
+        if lo > done:
+            out[at + (slice(done, lo),)] = 0
         cut = min(max(done - lo, 0), hi - lo)
-        out[at + (slice(lo, lo + cut),)] += mul(block.T[:cut], a[rows])
+        if cut:
+            out[at + (slice(lo, lo + cut),)] += mul(block.T[:cut], a[rows])
         mul(block.T[cut:], a[rows], out[at + (slice(lo + cut, hi),)])
         done = max(done, hi)
     return out

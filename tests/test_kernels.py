@@ -125,7 +125,7 @@ def test_conv2d_tracked_1d_kernel_stays_on_the_taps(monkeypatch):
     monkeypatch.setattr(kernels, "_product", None)  # a product would raise
     rng = np.random.default_rng(22)
     # past 512 pixels, and a kernel longer than a tile
-    for shape, kshape in [((2, 1, 4, 700), (1, 41)), ((1, 2, 70, 5), (37, 1))]:
+    for shape, kshape in [((2, 1, 4, 700), (1, 151)), ((1, 2, 300, 5), (131, 1))]:
         x, k, cot = rng.normal(size=shape), rng.normal(size=kshape), rng.normal(size=shape)
         pads = (kshape[0] // 2, kshape[0] // 2, kshape[1] // 2, kshape[1] // 2)
         for border in ("zero", "replicate", "reflect"):
@@ -287,7 +287,7 @@ def _gathered_upsample(x, size):
     "src, size",
     [((15, 20), (60, 80)), ((30, 40), (60, 80)), ((60, 80), (60, 80)), ((1, 5), (6, 7)),
      ((4, 1), (6, 7)), ((1, 1), (3, 4)), ((7, 9), (1, 1)), ((7, 9), (1, 5)), ((7, 9), (4, 1)),
-     ((20, 30), (700, 41)), ((700, 600), (9, 40))],  # past 512 pixels, up and down
+     ((20, 30), (700, 41)), ((700, 650), (300, 260))],  # past 512 pixels, up and down
 )
 def test_upsample_product_matches_the_gather(src, size, monkeypatch):
     rng = np.random.default_rng(40)
@@ -340,14 +340,29 @@ def test_upsample_non_finite_values_stay_local():
 
 
 def test_upsample_operators_are_cached_and_read_only():
-    op = kernels._axis_operator(15, 60, "bilinear", np.dtype(np.float64))
-    assert op is kernels._axis_operator(15, 60, "bilinear", np.dtype(np.float64))
-    assert len(op) > 1 and sum(len(block) for _, block in op) == 60
+    op = kernels._axis_operator(15, 300, "bilinear", np.dtype(np.float64))
+    assert op is kernels._axis_operator(15, 300, "bilinear", np.dtype(np.float64))
+    assert len(op) > 1 and sum(len(block) for _, block in op) == 300
     # every output pixel is a convex combination: every row has mass 1
     assert np.allclose(kernels._product(np.ones((1, 1, 15, 2)), op, None), 1.0)
     for _, block in op:
         with pytest.raises(ValueError):
             block[0, 0] = 1.0
+
+
+def test_operator_adjoint_zeroes_the_pixels_no_tile_reads():
+    op = kernels._axis_operator(650, 260, "bilinear", np.dtype(np.float64))
+    dense = np.zeros((260, 650))
+    s = 0
+    for lo, block in op:
+        dense[s : s + len(block), lo : lo + block.shape[1]] = block
+        s += len(block)
+    assert not dense.any(axis=0).all()  # some source pixel is read by no output
+    g = np.random.default_rng(44).normal(size=(1, 1, 2, 260))
+    for _ in range(3):
+        np.full((1, 1, 2, 650), np.nan)  # leave NaN where the adjoint's output may be allocated
+    got, want = kernels._product(g, None, op, adjoint=True), g @ dense
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()  # a NaN fails it
 
 
 # --- sample_bilinear against the former four-corner op ----------------------
