@@ -40,8 +40,8 @@ def gaussian_kernel1d(size: int, sigma: float) -> Var:
 def gaussian_blur2d(img, size: tuple, sigma: tuple, border: str = "reflect") -> Var:
     """Separable Gaussian blur G, a conv2d column pass then row pass, as one tape node.
 
-    Each k-tap pass is a cached operator with the border folded in, kept as row tiles
-    of O(k) width, so G img = My img Mx^T and the vjp is My^T g Mx at any extent.
+    Each pass is a cached operator with the border folded in, kept as row tiles
+    (`kernels._axis_operator`), so G img = My img Mx^T and the vjp is My^T g Mx at any extent.
     """
     img = as_var(img)
     _require_4d(img, "gaussian_blur2d")
